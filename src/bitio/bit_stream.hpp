@@ -48,14 +48,22 @@ class BitReader {
     return bits_->get(pos_++);
   }
 
-  /// Reads `width` bits, least-significant first.
+  /// Reads `width` bits, least-significant first. A read past the end
+  /// throws before consuming anything.
   [[nodiscard]] std::uint64_t read_bits(unsigned width) {
     if (width > 64) throw std::invalid_argument("read_bits: width > 64");
-    std::uint64_t value = 0;
-    for (unsigned i = 0; i < width; ++i) {
-      value |= static_cast<std::uint64_t>(read_bit()) << i;
-    }
+    if (width > remaining()) throw std::out_of_range("BitReader: past end");
+    const std::uint64_t value = bits_->get_bits(pos_, width);
+    pos_ += width;
     return value;
+  }
+
+  /// Reads the next `len` bits as a BitVector, a word at a time. A read
+  /// past the end throws std::out_of_range before consuming anything.
+  [[nodiscard]] BitVector read_vector(std::size_t len) {
+    BitVector out = bits_->slice(pos_, len);
+    pos_ += len;
+    return out;
   }
 
   [[nodiscard]] std::size_t position() const noexcept { return pos_; }

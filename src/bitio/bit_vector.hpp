@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -43,6 +44,12 @@ class BitVector {
   /// Parses a string of '0'/'1' characters (useful in tests).
   static BitVector from_string(const std::string& bits);
 
+  /// Adopts `size` bits packed LSB-first into `words`. Throws
+  /// std::invalid_argument unless words.size() == ⌈size/64⌉ and every bit
+  /// past `size` is zero.
+  static BitVector from_words(std::vector<std::uint64_t> words,
+                              std::size_t size);
+
   /// Number of bits stored.
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
@@ -51,6 +58,22 @@ class BitVector {
   [[nodiscard]] bool get(std::size_t i) const noexcept {
     return (words_[i >> 6] >> (i & 63)) & 1u;
   }
+
+  /// Reads `width` ≤ 64 bits starting at `pos`, least-significant first,
+  /// with at most two word loads. Precondition: pos + width <= size().
+  [[nodiscard]] std::uint64_t get_bits(std::size_t pos,
+                                       unsigned width) const noexcept {
+    if (width == 0) return 0;
+    const std::size_t w = pos >> 6;
+    const unsigned off = pos & 63;
+    std::uint64_t value = words_[w] >> off;
+    if (off + width > 64) value |= words_[w + 1] << (64 - off);
+    return width == 64 ? value : value & ((std::uint64_t{1} << width) - 1);
+  }
+
+  /// The `len` bits starting at `pos`, copied a word at a time. Throws
+  /// std::out_of_range if pos + len > size().
+  [[nodiscard]] BitVector slice(std::size_t pos, std::size_t len) const;
 
   /// Sets the bit at `i`. Precondition: i < size().
   void set(std::size_t i, bool value) noexcept {
@@ -69,10 +92,24 @@ class BitVector {
     ++size_;
   }
 
-  /// Appends the low `width` bits of `value`, least-significant bit first.
-  void append_bits(std::uint64_t value, unsigned width);
+  /// Appends the low `width` bits of `value`, least-significant bit first
+  /// (one shift-or into at most two words). Throws std::invalid_argument
+  /// if width > 64.
+  void append_bits(std::uint64_t value, unsigned width) {
+    if (width > 64) throw std::invalid_argument("append_bits: width > 64");
+    if (width == 0) return;
+    if (width < 64) value &= (std::uint64_t{1} << width) - 1;
+    const unsigned off = size_ & 63;
+    if (off == 0) {
+      words_.push_back(value);
+    } else {
+      words_.back() |= value << off;
+      if (off + width > 64) words_.push_back(value >> (64 - off));
+    }
+    size_ += width;
+  }
 
-  /// Appends all bits of `other`.
+  /// Appends all bits of `other`, a word at a time.
   void append(const BitVector& other);
 
   /// Number of one-bits.

@@ -40,15 +40,13 @@ std::uint32_t crc32(const BitVector& bits) noexcept {
   for (int i = 0; i < 8; ++i) {
     crc = update(crc, static_cast<std::uint8_t>(n >> (8 * i)));
   }
-  std::uint8_t current = 0;
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    if (bits.get(i)) current |= static_cast<std::uint8_t>(1u << (i % 8));
-    if (i % 8 == 7) {
-      crc = update(crc, current);
-      current = 0;
-    }
+  // The packed bytes are the words' little-endian bytes; the final partial
+  // byte comes out zero-padded high because tail bits past size() are zero.
+  const auto& words = bits.words();
+  const std::size_t nbytes = (bits.size() + 7) / 8;
+  for (std::size_t i = 0; i < nbytes; ++i) {
+    crc = update(crc, static_cast<std::uint8_t>(words[i / 8] >> (8 * (i % 8))));
   }
-  if (bits.size() % 8 != 0) crc = update(crc, current);
   return crc ^ 0xFFFFFFFFu;
 }
 

@@ -8,6 +8,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -37,6 +38,10 @@ class DistanceMatrix {
   [[nodiscard]] std::uint32_t at(NodeId u, NodeId v) const noexcept {
     return d_[static_cast<std::size_t>(u) * n_ + v];
   }
+  /// Row u: d(u, v) for every v, contiguous.
+  [[nodiscard]] std::span<const std::uint32_t> row(NodeId u) const noexcept {
+    return {d_.data() + static_cast<std::size_t>(u) * n_, n_};
+  }
   [[nodiscard]] std::size_t node_count() const noexcept { return n_; }
 
   /// Max finite distance; kUnreachable if the graph is disconnected,
@@ -56,6 +61,25 @@ class DistanceMatrix {
 /// d(w, v) = d(u, v) − 1. Empty when v == u or v unreachable.
 [[nodiscard]] std::vector<NodeId> shortest_path_successors(
     const Graph& g, const DistanceMatrix& dist, NodeId u, NodeId v);
+
+/// first_hop_rank / first_hop_ranks value for a destination with no first
+/// hop: u itself, or a node unreachable from u.
+inline constexpr std::uint32_t kNoHop = kUnreachable;
+
+/// Rank (index into g.neighbors(u)) of the least neighbour of `u` on a
+/// shortest path to `v` — the position of
+/// shortest_path_successors(g, dist, u, v).front() — without allocating;
+/// kNoHop when v == u or v is unreachable.
+[[nodiscard]] std::uint32_t first_hop_rank(const Graph& g,
+                                           const DistanceMatrix& dist,
+                                           NodeId u, NodeId v);
+
+/// first_hop_rank(g, dist, u, v) for every destination v at once, into
+/// `out` (size n). Scans u's neighbours from the highest rank down over
+/// their contiguous distance rows, so the least qualifying rank is written
+/// last: O(deg(u)·n) sequential reads, no allocation.
+void first_hop_ranks(const Graph& g, const DistanceMatrix& dist, NodeId u,
+                     std::span<std::uint32_t> out);
 
 /// True iff the graph is connected.
 [[nodiscard]] bool is_connected(const Graph& g);

@@ -13,6 +13,10 @@ namespace optrt::model {
 
 namespace {
 
+// verify_scheme_sampled's draw budget per requested pair (plus n): far
+// above the ~n/(n-1) draws a pair takes on a connected graph.
+constexpr std::size_t kSampledDrawsPerPair = 64;
+
 // Walks one message from src to dst; returns edges traversed (0 = failed)
 // and whether an invalid hop was produced.
 struct WalkOutcome {
@@ -261,7 +265,12 @@ VerificationResult verify_scheme_sampled(const graph::Graph& g,
   std::size_t stretch_pairs = 0;
   // Per-source BFS cache: sampled sources often repeat at small n.
   std::vector<std::vector<std::uint32_t>> dist_cache(n);
-  while (result.pairs_checked < samples) {
+  // Rejected draws (u == v, or an unconnected pair) are bounded, so a graph
+  // with few or no connected pairs ends with pairs_checked < samples
+  // instead of drawing forever.
+  const std::size_t max_draws = kSampledDrawsPerPair * samples + n;
+  for (std::size_t draws = 0;
+       result.pairs_checked < samples && draws < max_draws; ++draws) {
     const NodeId u = pick(rng);
     const NodeId v = pick(rng);
     if (u == v) continue;

@@ -98,7 +98,9 @@ struct StretchVerificationResult {
 
 /// Sampled verification for large n: routes `samples` uniformly random
 /// connected pairs instead of all n(n−1). Same semantics as verify_scheme
-/// restricted to the sample.
+/// restricted to the sample. Draws at most 64·samples + n candidate
+/// pairs, so on a graph with few or no connected pairs it returns with
+/// pairs_checked < samples (0 on an edgeless graph).
 [[nodiscard]] VerificationResult verify_scheme_sampled(
     const graph::Graph& g, const RoutingScheme& scheme, std::size_t samples,
     std::uint64_t seed, std::size_t hop_budget = 0);

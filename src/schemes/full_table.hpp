@@ -18,6 +18,16 @@ namespace optrt::schemes {
 
 using graph::NodeId;
 
+/// Serializes node u's table: one ⌈log₂ d(u)⌉-bit port entry per
+/// destination label, holding the port of the least shortest-path
+/// successor (port 0 for u itself and for unreachable destinations).
+/// Shared by the constructor and the churn repair path, so a repaired
+/// table is byte-identical to a fresh build by construction.
+[[nodiscard]] bitio::BitVector full_table_node_bits(
+    const graph::Graph& g, const graph::DistanceMatrix& dist,
+    const graph::PortAssignment& ports, const graph::Labeling& labeling,
+    NodeId u);
+
 class FullTableScheme final : public model::RoutingScheme {
  public:
   /// Builds tables routing via the least shortest-path successor, against

@@ -5,9 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "bitio/bit_stream.hpp"
-#include "bitio/codes.hpp"
-#include "graph/labeling.hpp"
 #include "graph/ports.hpp"
 #include "model/verifier.hpp"
 #include "obs/metrics.hpp"
@@ -152,7 +149,9 @@ std::vector<NodeId> close_over_neighbors(const graph::Graph& g,
 
 RepairableFullTable::RepairableFullTable(const graph::Graph& base,
                                          model::RepairConfig config)
-    : RepairableBase(base, config), dist_(base) {
+    : RepairableBase(base, config),
+      dist_(base),
+      identity_(graph::Labeling::identity(base.node_count())) {
   tables_.resize(live_.node_count());
   const graph::DistanceMatrix dist = dist_.snapshot();
   const auto ports = graph::PortAssignment::sorted(live_);
@@ -165,28 +164,12 @@ RepairableFullTable::RepairableFullTable(const graph::Graph& base,
 void RepairableFullTable::rebuild_table(NodeId u,
                                         const graph::DistanceMatrix& dist,
                                         const graph::PortAssignment& ports) {
-  // Mirrors the fresh FullTableScheme builder with identity labels: one
-  // fixed-width port entry per destination, least shortest-path successor,
-  // port 0 for self and unreachable destinations.
-  const std::size_t n = live_.node_count();
-  const unsigned width =
-      bitio::ceil_log2(std::max<std::size_t>(live_.degree(u), 1));
-  bitio::BitWriter w;
-  for (NodeId v = 0; v < n; ++v) {
-    graph::PortId port = 0;
-    if (v != u && dist.at(u, v) != graph::kUnreachable) {
-      const auto succ = graph::shortest_path_successors(live_, dist, u, v);
-      port = ports.port_of(u, succ.front());
-    }
-    w.write_bits(port, width);
-  }
-  tables_[u] = w.take();
+  tables_[u] = full_table_node_bits(live_, dist, ports, identity_, u);
 }
 
 void RepairableFullTable::materialize() {
   scheme_ = std::make_unique<FullTableScheme>(
-      live_, graph::PortAssignment::sorted(live_),
-      graph::Labeling::identity(live_.node_count()), model::kIAalpha,
+      live_, graph::PortAssignment::sorted(live_), identity_, model::kIAalpha,
       tables_);
 }
 

@@ -31,6 +31,7 @@
 
 #include "graph/algorithms.hpp"
 #include "graph/graph.hpp"
+#include "graph/labeling.hpp"
 #include "model/repairable.hpp"
 #include "schemes/compact_diam2.hpp"
 #include "schemes/full_table.hpp"
@@ -122,6 +123,7 @@ class RepairableFullTable final : public RepairableBase {
   void materialize();
 
   DynamicDistances dist_;
+  graph::Labeling identity_;  // churn never renames nodes
   std::vector<bitio::BitVector> tables_;
   std::unique_ptr<FullTableScheme> scheme_;
 };

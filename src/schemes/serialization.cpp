@@ -77,8 +77,7 @@ Frame read_frame(const bitio::BitVector& artifact) {
           "v0 artifact names an unknown scheme kind");
     f.info.kind = static_cast<SchemeKind>(kind_raw);
     f.info.payload_bits = r.remaining();
-    f.payload = bitio::BitVector();
-    while (!r.exhausted()) f.payload.push_back(r.read_bit());
+    f.payload = r.read_vector(r.remaining());
     return f;
   }
   check(magic == kFrameMagic, DecodeErrorKind::kBadMagic,
@@ -101,8 +100,7 @@ Frame read_frame(const bitio::BitVector& artifact) {
   check(payload_bits == available, DecodeErrorKind::kSemanticInvalid,
         "trailing bits after the declared payload");
   f.info.payload_bits = static_cast<std::size_t>(payload_bits);
-  f.payload = bitio::BitVector();
-  while (!r.exhausted()) f.payload.push_back(r.read_bit());
+  f.payload = r.read_vector(r.remaining());
   f.info.crc_computed = bitio::crc32(f.payload);
   if (f.info.crc_computed != f.info.crc_stored) {
     obs::counter("artifact.crc_mismatch").inc();
@@ -182,9 +180,7 @@ bitio::BitVector read_bit_vector(BitReader& r) {
   const std::uint64_t len = bitio::read_prime(r);
   check(len <= r.remaining(), DecodeErrorKind::kResourceLimit,
         "bit-vector length exceeds the remaining payload");
-  bitio::BitVector bits;
-  for (std::uint64_t i = 0; i < len; ++i) bits.push_back(r.read_bit());
-  return bits;
+  return r.read_vector(static_cast<std::size_t>(len));
 }
 
 /// Reads a count of items occupying >= `min_bits_per_item` bits each,
@@ -599,21 +595,18 @@ FastScheme compile_fast_from_artifact(const bitio::BitVector& artifact,
 }
 
 std::vector<std::uint8_t> to_bytes(const bitio::BitVector& bits) {
-  std::vector<std::uint8_t> bytes;
-  // 64-bit little-endian bit-count prefix.
+  // 64-bit little-endian bit-count prefix, then the words' little-endian
+  // bytes (tail bits past size() are zero, so padding comes out zero).
   const std::uint64_t count = bits.size();
-  for (int i = 0; i < 8; ++i) {
-    bytes.push_back(static_cast<std::uint8_t>(count >> (8 * i)));
+  const std::size_t payload_bytes = (bits.size() + 7) / 8;
+  std::vector<std::uint8_t> bytes(8 + payload_bytes);
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[i] = static_cast<std::uint8_t>(count >> (8 * i));
   }
-  std::uint8_t current = 0;
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    if (bits.get(i)) current |= static_cast<std::uint8_t>(1u << (i % 8));
-    if (i % 8 == 7) {
-      bytes.push_back(current);
-      current = 0;
-    }
+  const auto& words = bits.words();
+  for (std::size_t i = 0; i < payload_bytes; ++i) {
+    bytes[8 + i] = static_cast<std::uint8_t>(words[i / 8] >> (8 * (i % 8)));
   }
-  if (bits.size() % 8 != 0) bytes.push_back(current);
   return bytes;
 }
 
@@ -643,12 +636,13 @@ bitio::BitVector from_bytes(std::span<const std::uint8_t> bytes) {
     check((tail >> (count % 8)) == 0, DecodeErrorKind::kSemanticInvalid,
           "from_bytes: nonzero padding bits");
   }
-  bitio::BitVector bits;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint8_t byte = bytes[static_cast<std::size_t>(8 + i / 8)];
-    bits.push_back((byte >> (i % 8)) & 1u);
+  const auto payload = bytes.subspan(8);
+  std::vector<std::uint64_t> words((payload.size() + 7) / 8, 0);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    words[i / 8] |= static_cast<std::uint64_t>(payload[i]) << (8 * (i % 8));
   }
-  return bits;
+  return bitio::BitVector::from_words(std::move(words),
+                                      static_cast<std::size_t>(count));
 }
 
 void save_artifact(const std::string& path, const bitio::BitVector& bits) {

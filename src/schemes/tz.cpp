@@ -28,6 +28,16 @@ std::vector<std::uint32_t> dist_to_set(const graph::DistanceMatrix& dist,
   return dva;
 }
 
+/// Port at u of its least shortest-path successor toward v; 0 when v == u
+/// or v is unreachable.
+graph::PortId first_hop_port(const graph::Graph& g,
+                             const graph::DistanceMatrix& dist,
+                             const graph::PortAssignment& ports, NodeId u,
+                             NodeId v) {
+  const std::uint32_t rank = graph::first_hop_rank(g, dist, u, v);
+  return rank == graph::kNoHop ? 0 : ports.port_of_rank(u, rank);
+}
+
 }  // namespace
 
 std::size_t TzScheme::cluster_cap(std::size_t n) {
@@ -114,12 +124,7 @@ bitio::BitVector tz_build_node_bits(const graph::Graph& g,
   // (a) next hop toward every landmark (own entry unused at a landmark
   // itself; store 0).
   for (NodeId l : landmarks) {
-    graph::PortId port = 0;
-    if (l != w) {
-      const auto succ = graph::shortest_path_successors(g, dist, w, l);
-      port = ports.port_of(w, succ.front());
-    }
-    out.write_bits(port, port_width);
+    out.write_bits(first_hop_port(g, dist, ports, w, l), port_width);
   }
   // (b) cluster table: v with d(w, v) < d(v, A), strictly.
   std::vector<NodeId> cluster;
@@ -128,9 +133,8 @@ bitio::BitVector tz_build_node_bits(const graph::Graph& g,
   }
   out.write_bits(cluster.size(), bitio::ceil_log2_plus1(n));
   for (NodeId v : cluster) {
-    const auto succ = graph::shortest_path_successors(g, dist, w, v);
     out.write_bits(v, id_width);
-    out.write_bits(ports.port_of(w, succ.front()), port_width);
+    out.write_bits(first_hop_port(g, dist, ports, w, v), port_width);
   }
   return out.take();
 }
@@ -288,8 +292,7 @@ void TzScheme::finish_build(const graph::Graph& g,
   for (NodeId v = 0; v < n_; ++v) {
     const NodeId l = landmark_of_[v];
     if (l == v) continue;
-    const auto succ = graph::shortest_path_successors(g, dist, l, v);
-    exit_port_[v] = ports_.port_of(l, succ.front());
+    exit_port_[v] = first_hop_port(g, dist, ports_, l, v);
   }
   // Bunch sizes: |B(v)| = |{w : v ∈ C(w)}| + |A|.
   bunch_size_.assign(n_, landmarks_.size());

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
@@ -103,6 +104,34 @@ TEST_P(SuccessorProperty, SuccessorsDecreaseDistanceByExactlyOne) {
         if (dist.at(s, v) + 1 == dist.at(u, v)) {
           EXPECT_TRUE(std::find(succ.begin(), succ.end(), s) != succ.end());
         }
+      }
+    }
+  }
+}
+
+TEST_P(SuccessorProperty, FirstHopRanksPickTheLeastSuccessor) {
+  // p = 0.06 leaves unreachable pairs and isolated nodes; 0.15 rarely
+  // does. n = 37 is not a multiple of the kernel's 4-lane width, so the
+  // scalar tail runs too.
+  constexpr std::size_t kN = 37;
+  for (const double p : {0.06, 0.15}) {
+    Rng rng(GetParam());
+    const Graph g = random_gnp(kN, p, rng);
+    const DistanceMatrix dist(g);
+    std::vector<std::uint32_t> ranks(kN);
+    for (NodeId u = 0; u < kN; ++u) {
+      first_hop_ranks(g, dist, u, ranks);
+      for (NodeId v = 0; v < kN; ++v) {
+        const auto succ = shortest_path_successors(g, dist, u, v);
+        const std::uint32_t expect =
+            succ.empty()
+                ? kNoHop
+                : static_cast<std::uint32_t>(
+                      std::lower_bound(g.neighbors(u).begin(),
+                                       g.neighbors(u).end(), succ.front()) -
+                      g.neighbors(u).begin());
+        EXPECT_EQ(ranks[v], expect) << u << "->" << v;
+        EXPECT_EQ(first_hop_rank(g, dist, u, v), expect) << u << "->" << v;
       }
     }
   }

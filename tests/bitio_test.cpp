@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <vector>
 
 #include "bitio/bit_stream.hpp"
 #include "bitio/bit_vector.hpp"
 #include "bitio/codes.hpp"
+#include "bitio/crc32.hpp"
 #include "bitio/entropy.hpp"
+#include "schemes/serialization.hpp"
 
 namespace optrt::bitio {
 namespace {
@@ -115,6 +118,116 @@ TEST(BitStream, SeekAndPosition) {
   EXPECT_TRUE(r.read_bit());
   EXPECT_EQ(r.remaining(), 3u);
   EXPECT_THROW(r.seek(9), std::out_of_range);
+}
+
+// --- Word-parallel bit I/O against a bit-at-a-time reference ----------------
+// Every start offset 0..129 (three words' worth of alignments) crossed with
+// every width 0..64 exercises each in-word, word-straddling and word-aligned
+// case of the shift-or paths.
+
+BitVector random_bits(std::size_t n, std::mt19937_64& rng) {
+  BitVector v;
+  for (std::size_t i = 0; i < n; ++i) v.push_back(rng() & 1u);
+  return v;
+}
+
+std::uint64_t reference_get_bits(const BitVector& v, std::size_t pos,
+                                 unsigned width) {
+  std::uint64_t value = 0;
+  for (unsigned i = 0; i < width; ++i) {
+    value |= static_cast<std::uint64_t>(v.get(pos + i)) << i;
+  }
+  return value;
+}
+
+TEST(WordParallel, GetBitsSliceAndReadBitsMatchReference) {
+  std::mt19937_64 rng(11);
+  const BitVector src = random_bits(130 + 64 + 70, rng);
+  for (std::size_t pos = 0; pos < 130; ++pos) {
+    for (unsigned width = 0; width <= 64; ++width) {
+      const std::uint64_t expect = reference_get_bits(src, pos, width);
+      ASSERT_EQ(src.get_bits(pos, width), expect) << pos << "+" << width;
+      BitReader r(src);
+      r.seek(pos);
+      ASSERT_EQ(r.read_bits(width), expect) << pos << "+" << width;
+      ASSERT_EQ(r.position(), pos + width);
+      for (std::size_t len : {std::size_t{width}, src.size() - pos}) {
+        const BitVector cut = src.slice(pos, len);
+        BitVector ref;
+        for (std::size_t i = 0; i < len; ++i) ref.push_back(src.get(pos + i));
+        ASSERT_EQ(cut, ref) << pos << "+" << len;
+      }
+    }
+  }
+}
+
+TEST(WordParallel, AppendBitsAndAppendMatchReference) {
+  std::mt19937_64 rng(12);
+  for (std::size_t offset = 0; offset < 130; ++offset) {
+    const BitVector prefix = random_bits(offset, rng);
+    for (unsigned width = 0; width <= 64; ++width) {
+      // High bits past `width` are garbage append_bits must drop.
+      const std::uint64_t value = rng();
+      BitVector got = prefix;
+      got.append_bits(value, width);
+      BitVector ref = prefix;
+      for (unsigned i = 0; i < width; ++i) ref.push_back((value >> i) & 1u);
+      ASSERT_EQ(got, ref) << offset << "+" << width;
+
+      const BitVector tail = random_bits(width + 70 * (width % 2), rng);
+      BitVector joined = prefix;
+      joined.append(tail);
+      BitVector joined_ref = prefix;
+      for (std::size_t i = 0; i < tail.size(); ++i) {
+        joined_ref.push_back(tail.get(i));
+      }
+      ASSERT_EQ(joined, joined_ref) << offset << "+" << tail.size();
+    }
+    BitVector twice = prefix;
+    twice.append(twice);
+    ASSERT_EQ(twice.to_string(), prefix.to_string() + prefix.to_string());
+  }
+}
+
+TEST(WordParallel, BytesAndCrcMatchBytewiseReference) {
+  std::mt19937_64 rng(13);
+  for (std::size_t n = 0; n < 200; ++n) {
+    const BitVector v = random_bits(n, rng);
+    // Reference transport: 64-bit little-endian bit count, then the bits
+    // packed LSB-first, the final partial byte zero-padded high.
+    std::vector<std::uint8_t> ref;
+    for (int i = 0; i < 8; ++i) {
+      ref.push_back(static_cast<std::uint8_t>(n >> (8 * i)));
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i % 8 == 0) ref.push_back(0);
+      if (v.get(i)) ref.back() |= static_cast<std::uint8_t>(1u << (i % 8));
+    }
+    ASSERT_EQ(schemes::to_bytes(v), ref) << n;
+    ASSERT_EQ(schemes::from_bytes(ref), v) << n;
+    ASSERT_EQ(crc32(v), crc32(ref.data(), ref.size())) << n;
+  }
+}
+
+TEST(WordParallel, PastEndReadsThrowWithoutConsuming) {
+  const BitVector v(70);
+  BitReader r(v);
+  r.seek(10);
+  EXPECT_THROW((void)r.read_bits(61), std::out_of_range);
+  EXPECT_EQ(r.position(), 10u);
+  EXPECT_THROW((void)r.read_vector(61), std::out_of_range);
+  EXPECT_EQ(r.read_bits(60), 0u);
+  EXPECT_TRUE(r.exhausted());
+  EXPECT_THROW((void)r.read_bits(1), std::out_of_range);
+  EXPECT_EQ(r.read_bits(0), 0u);
+  EXPECT_THROW((void)v.slice(69, 2), std::out_of_range);
+}
+
+TEST(WordParallel, FromWordsValidatesShape) {
+  EXPECT_EQ(BitVector::from_words({0b101}, 3).to_string(), "101");
+  EXPECT_TRUE(BitVector::from_words({}, 0).empty());
+  EXPECT_THROW((void)BitVector::from_words({0b1000}, 3), std::invalid_argument);
+  EXPECT_THROW((void)BitVector::from_words({0, 0}, 64), std::invalid_argument);
 }
 
 // --- The paper's N <-> {0,1}* correspondence --------------------------------

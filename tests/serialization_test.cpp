@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "bitio/crc32.hpp"
 #include "core/experiment.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
@@ -541,6 +542,27 @@ TEST(Serialization, GoldenV1ArtifactsArePinnedByteForByte) {
       "140c08860346f35aa411c8d27d6b0d10108905c7f5dae0a080604028169dd7228d40"
       "96ce03",
       SchemeKind::kHierarchical, 16, g44);
+}
+
+// Multi-word tables: at n = 200 every full-table node table and most TZ
+// cluster lists span several 64-bit words, which the n <= 16 goldens above
+// never do. Pinned by artifact size and CRC-32 of the transport bytes.
+TEST(Serialization, MultiWordArtifactsArePinned) {
+  const Graph g = graph::TopologyFamily::parse("ba:2").make(200, 7);
+  const auto pin = [&](const bitio::BitVector& artifact, std::size_t bits,
+                       std::uint32_t crc) {
+    const auto bytes = to_bytes(artifact);
+    EXPECT_EQ(artifact.size(), bits);
+    EXPECT_EQ(bitio::crc32(bytes.data(), bytes.size()), crc);
+    EXPECT_EQ(inspect(artifact).crc_stored, inspect(artifact).crc_computed);
+    EXPECT_EQ(from_bytes(bytes), artifact);
+  };
+  const bitio::BitVector full = serialize(FullTableScheme::standard(g));
+  pin(full, 85249, 0x781266cbu);
+  EXPECT_EQ(serialize(deserialize_full_table(full, g)), full);
+  const bitio::BitVector tz = serialize(TzScheme(g));
+  pin(tz, 19168, 0xeedb78f8u);
+  EXPECT_EQ(serialize(deserialize_tz(tz, g)), tz);
 }
 
 }  // namespace

@@ -123,6 +123,24 @@ TEST(Verifier, SkipsDisconnectedPairs) {
   EXPECT_EQ(result.pairs_checked, 12u);
 }
 
+TEST(Verifier, SampledStopsWhenNoPairIsConnected) {
+  const Graph edgeless(4);
+  const auto none = verify_scheme_sampled(
+      edgeless, schemes::FullTableScheme::standard(edgeless), 10, 1);
+  EXPECT_EQ(none.pairs_checked, 0u);
+  EXPECT_EQ(none.pairs_failed, 0u);
+  EXPECT_EQ(none.total_route_edges, 0u);
+
+  Graph halves(4);
+  halves.add_edge(0, 1);
+  halves.add_edge(2, 3);
+  const auto some = verify_scheme_sampled(
+      halves, schemes::FullTableScheme::standard(halves), 10, 1);
+  EXPECT_TRUE(some.ok());
+  EXPECT_EQ(some.pairs_checked, 10u);
+  EXPECT_EQ(some.total_route_edges, 10u);
+}
+
 TEST(Verifier, RouteOnceReturnsEdgeCount) {
   const Graph g = graph::chain(7);
   const auto scheme = schemes::FullTableScheme::standard(g);

@@ -64,6 +64,11 @@ for stage in "${STAGES[@]}"; do
     # rebuild baseline on at least one family (nonzero exit if not).
     echo "=== [$stage] bench_churn --smoke ==="
     ./build/bench/bench_churn --smoke -o build/BENCH_churn_smoke.json
+    # Self-check the end-to-end benchmark at smoke size: every workload
+    # correct, every metric reported, and two same-seed runs printing
+    # identical records (artifact bits, repair counts, hops).
+    echo "=== [$stage] perfbench self-check ==="
+    python3 perfbench/test_perfbench.py
   fi
 done
 
