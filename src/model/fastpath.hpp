@@ -1,9 +1,7 @@
 // Query-optimized routing: compiled fast paths and batched lookups.
 //
-// RoutingScheme::next_hop is the honesty-disciplined reference path: it
-// re-decodes the serialized routing function (BitReader, bit at a time)
-// on every call. A FastPath is the same routing function *compiled once*
-// into flat, cache-friendly structures — succinct rank directories
+// A FastPath is a scheme's routing function compiled into flat,
+// cache-friendly structures — succinct rank directories
 // (bitio::RankSelect) over membership bit-vectors, bit-packed fixed-width
 // value arrays, and CSR port→neighbour tables (graph::CsrGraph) — so a
 // lookup is a handful of word reads instead of a decode loop.
@@ -14,9 +12,16 @@
 // differential suite (tests/fastpath_test.cpp) holds every compiled form
 // to that bit-for-bit standard before any benchmark number counts.
 //
-// Compiled fast paths own copies of everything they consult and stay
-// valid after the source scheme is destroyed; only the generic fallback
-// (for schemes without a compiled form) borrows the scheme.
+// Three kinds of compiled form exist:
+//   - shared tables (SharedTablesFastPath): compact-diam2, routing-center,
+//     landmark and TZ decode their bits once into immutable tables that
+//     the scheme's own next_hop routes from; compile_fast() hands out a
+//     FastPath over those same tables, so there is one runtime copy;
+//   - self-contained copies: full-table, hub, hierarchical and
+//     sequential-search compile a FastPath of their own;
+//   - the generic fallback, which borrows the scheme (schemes without a
+//     compiled form).
+// Every kind except the fallback stays valid after the scheme is gone.
 #pragma once
 
 #include <cstddef>
@@ -24,6 +29,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bitio/rank_select.hpp"
@@ -65,6 +71,39 @@ class FastPath {
   /// with a monomorphic loop (no per-pair virtual dispatch).
   virtual void batch_impl(std::span<const RoutePair> pairs,
                           std::span<graph::NodeId> out_hops) const;
+};
+
+/// A FastPath over tables shared with the scheme that decoded them.
+/// `Tables` is immutable and provides node_count() and
+/// next_hop(u, dest_label) with the FastPath::next_hop contract; both the
+/// scheme and every compiled handle route through the same instance.
+template <typename Tables>
+class SharedTablesFastPath final : public FastPath {
+ public:
+  SharedTablesFastPath(std::string name, std::shared_ptr<const Tables> tables)
+      : name_(std::move(name)), tables_(std::move(tables)) {}
+
+  [[nodiscard]] std::string name() const override { return name_; }
+  [[nodiscard]] std::size_t node_count() const override {
+    return tables_->node_count();
+  }
+  [[nodiscard]] graph::NodeId next_hop(
+      graph::NodeId u, graph::NodeId dest_label) const override {
+    return tables_->next_hop(u, dest_label);
+  }
+
+ protected:
+  void batch_impl(std::span<const RoutePair> pairs,
+                  std::span<graph::NodeId> out_hops) const override {
+    const Tables& tables = *tables_;
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      out_hops[i] = tables.next_hop(pairs[i].src, pairs[i].dst_label);
+    }
+  }
+
+ private:
+  std::string name_;
+  std::shared_ptr<const Tables> tables_;
 };
 
 /// Generic fallback: wraps the scheme's own next_hop with a fresh header

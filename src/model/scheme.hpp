@@ -8,10 +8,15 @@
 // node labels themselves.
 //
 // Honesty discipline: every concrete scheme in src/schemes serializes each
-// local routing function into a BitVector at construction and *decodes that
-// bit string* (plus only the model's free knowledge: the port count, and
-// under II the neighbour labels) inside next_hop(). SpaceReport therefore
-// reports exactly the information the routing functions consult.
+// local routing function into a BitVector at construction, and next_hop()
+// answers only from what that bit string decodes to, plus the model's free
+// knowledge (the port count, and under II the neighbour labels).
+// SpaceReport therefore reports exactly the information the routing
+// functions consult. Full-table seeks into the bits on every call; hub,
+// hierarchical, interval and k-interval keep a per-node decoded view;
+// compact-diam2, routing-center, landmark and TZ decode each node's bits
+// once into immutable compiled tables (model/fastpath.hpp) that next_hop
+// and compile_fast() share.
 #pragma once
 
 #include <cstdint>
@@ -86,13 +91,6 @@ class RoutingScheme {
   /// Precondition: dest_label != label_of(u).
   [[nodiscard]] virtual NodeId next_hop(NodeId u, NodeId dest_label,
                                         MessageHeader& header) const = 0;
-
-  /// True when next_hop neither reads nor writes the MessageHeader — i.e.
-  /// every hop equals the answer for a fresh header, so a carrier may
-  /// batch hops through the compiled FastPath. Theorem 5's sequential
-  /// search and the hierarchical scheme carry per-message state and
-  /// return false.
-  [[nodiscard]] virtual bool stateless_next_hop() const { return true; }
 
   /// Space used by this scheme under its model's accounting.
   [[nodiscard]] virtual SpaceReport space() const = 0;

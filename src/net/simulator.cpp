@@ -31,13 +31,13 @@ Simulator::Simulator(const graph::Graph& g, const model::RoutingScheme& scheme,
     resilience_ =
         std::make_unique<ResilienceEngine>(g, scheme, config_.resilience);
   }
-  if (config_.batch_routing && scheme.stateless_next_hop()) {
-    fast_ = scheme.compile_fast();
-  }
 }
 
 std::uint64_t Simulator::send(NodeId source, NodeId destination,
                               std::uint64_t at_time) {
+  if (source >= g_->node_count() || destination >= g_->node_count()) {
+    throw std::invalid_argument("Simulator::send: node id out of range");
+  }
   if (source == destination) {
     throw std::invalid_argument("Simulator::send: source == destination");
   }
@@ -154,10 +154,6 @@ void Simulator::rebind(const model::RoutingScheme& scheme) {
     resilience_ =
         std::make_unique<ResilienceEngine>(*g_, scheme, config_.resilience);
   }
-  fast_.reset();
-  if (config_.batch_routing && scheme.stateless_next_hop()) {
-    fast_ = scheme.compile_fast();
-  }
   obs::MetricsRegistry::global().counter("sim.rebinds").inc();
 }
 
@@ -192,11 +188,8 @@ SimulationStats Simulator::run_core(std::uint64_t limit, bool apply_trailing) {
     dist = graph::DistanceCache::global().get(*g_);
   }
   // One event's full treatment after faults were applied: delivery, hop
-  // budget, routing (honouring a precomputed batched hop), resilience,
-  // and the forward push. `pre` is only ever set when it provably equals
-  // what pick_next_hop would return (stateless scheme, no active
-  // failures), so the batched and per-hop loops are bit-identical.
-  const auto process = [&](Event e, std::optional<NodeId> pre) {
+  // budget, routing, resilience, and the forward push.
+  const auto process = [&](Event& e) {
     MessageRecord& record = records_[e.record_index];
     if (e.at == record.destination) {
       record.delivered = true;
@@ -216,7 +209,7 @@ SimulationStats Simulator::run_core(std::uint64_t limit, bool apply_trailing) {
       c_dropped.inc();
       return;
     }
-    std::optional<NodeId> hop = pre.has_value() ? pre : pick_next_hop(e);
+    std::optional<NodeId> hop = pick_next_hop(e);
     bool deflected = false;
     if (!hop.has_value() && resilience_ != nullptr) {
       const auto up = [this](NodeId a, NodeId b) { return link_up(a, b); };
@@ -276,61 +269,22 @@ SimulationStats Simulator::run_core(std::uint64_t limit, bool apply_trailing) {
                       e.record_index, *hop, e.header});
   };
 
-  if (fast_ == nullptr) {
-    while (!queue_.empty() && queue_.top().time < limit) {
-      queue_peak = std::max(queue_peak, queue_.size());
-      Event e = queue_.top();
+  // Drain one timestep at a time: faults up to `now` apply first, then the
+  // drained events run in seq order (events pushed meanwhile carry a
+  // larger seq or a later time, so this is the (time, seq) order). Each
+  // event pops one queue entry and pushes at most one, so the queue is
+  // largest at a timestep's start: drained + still queued.
+  std::vector<Event> batch;
+  while (!queue_.empty() && queue_.top().time < limit) {
+    const std::uint64_t now = queue_.top().time;
+    batch.clear();
+    while (!queue_.empty() && queue_.top().time == now) {
+      batch.push_back(queue_.top());
       queue_.pop();
-      apply_faults_until(e.time);
-      process(std::move(e), std::nullopt);
     }
-  } else {
-    // Batched delivery: drain every event of the current timestep (they
-    // pop in seq order — events pushed while processing always carry a
-    // larger seq, so ordering matches the per-hop loop), answer the
-    // routable ones with one route_batch, then process sequentially.
-    std::vector<Event> batch;
-    std::vector<model::RoutePair> pairs;
-    std::vector<NodeId> hops;
-    std::vector<std::ptrdiff_t> hop_of;  // batch index → pairs index or -1
-    while (!queue_.empty() && queue_.top().time < limit) {
-      const std::uint64_t now = queue_.top().time;
-      batch.clear();
-      while (!queue_.empty() && queue_.top().time == now) {
-        batch.push_back(queue_.top());
-        queue_.pop();
-      }
-      apply_faults_until(now);
-      hop_of.assign(batch.size(), -1);
-      // With any failure active, link_up checks and full-information
-      // avoidance stop being no-ops — every event takes the per-hop path.
-      if (failed_links_.empty() && failed_nodes_.empty()) {
-        pairs.clear();
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          const Event& e = batch[i];
-          const MessageRecord& record = records_[e.record_index];
-          if (e.at != record.destination && record.hops < config_.max_hops &&
-              !record.used_fallback) {
-            hop_of[i] = static_cast<std::ptrdiff_t>(pairs.size());
-            pairs.push_back({e.at, scheme_->label_of(record.destination)});
-          }
-        }
-        hops.resize(pairs.size());
-        if (!pairs.empty()) fast_->route_batch(pairs, hops);
-      }
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        // The per-hop loop reads queue_.size() with this event still
-        // queued: the (batch.size() - i) drained-but-unprocessed events
-        // re-create that view.
-        queue_peak =
-            std::max(queue_peak, (batch.size() - i) + queue_.size());
-        process(std::move(batch[i]),
-                hop_of[i] >= 0
-                    ? std::optional<NodeId>(hops[static_cast<std::size_t>(
-                          hop_of[i])])
-                    : std::nullopt);
-      }
-    }
+    queue_peak = std::max(queue_peak, batch.size() + queue_.size());
+    apply_faults_until(now);
+    for (Event& e : batch) process(e);
   }
   // Topology changes beyond the last message still take effect, so the
   // post-run link state matches the full plan. Sliced runs leave future

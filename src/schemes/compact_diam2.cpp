@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "bitio/codes.hpp"
 #include "model/fastpath.hpp"
 #include "schemes/succinct_node_table.hpp"
 
@@ -17,22 +16,30 @@ CompactDiam2Scheme::Options CompactDiam2Scheme::Options::for_model(
   return opt;
 }
 
+struct CompactDiam2Scheme::Tables {
+  std::vector<model::PackedSparseArray> routed;
+
+  [[nodiscard]] std::size_t node_count() const { return routed.size(); }
+  [[nodiscard]] NodeId next_hop(NodeId u, NodeId dest_label) const {
+    if (dest_label == u) {
+      throw std::invalid_argument("CompactDiam2Scheme: routing to self");
+    }
+    const auto& table = routed[u];
+    if (table.contains(dest_label)) {
+      return static_cast<NodeId>(table.value(dest_label));
+    }
+    return dest_label;  // direct destination (a neighbour of u)
+  }
+};
+
 CompactDiam2Scheme::CompactDiam2Scheme(const graph::Graph& g, Options options)
     : n_(g.node_count()), options_(options) {
   options_.node.include_adjacency = !options_.neighbors_known;
   bits_.reserve(n_);
-  decoded_.reserve(n_);
   for (NodeId u = 0; u < n_; ++u) {
     bits_.push_back(build_compact_node(g, u, options_.node));
-    std::vector<NodeId> free_neighbors;
-    if (options_.neighbors_known) {
-      const auto nbrs = g.neighbors(u);
-      free_neighbors.assign(nbrs.begin(), nbrs.end());
-    }
-    decoded_.push_back(decode_compact_node(bits_.back().bits, n_, u,
-                                           options_.node,
-                                           std::move(free_neighbors)));
   }
+  decode(g);
 }
 
 CompactDiam2Scheme::CompactDiam2Scheme(const graph::Graph& g, Options options,
@@ -42,21 +49,24 @@ CompactDiam2Scheme::CompactDiam2Scheme(const graph::Graph& g, Options options,
   if (node_bits.size() != n_) {
     throw std::invalid_argument("CompactDiam2Scheme: node count mismatch");
   }
-  bits_.reserve(n_);
-  decoded_.reserve(n_);
+  bits_.resize(n_);
+  for (NodeId u = 0; u < n_; ++u) bits_[u].bits = std::move(node_bits[u]);
+  decode(g);
+}
+
+void CompactDiam2Scheme::decode(const graph::Graph& g) {
+  auto tables = std::make_shared<Tables>();
+  tables->routed.reserve(n_);
   for (NodeId u = 0; u < n_; ++u) {
-    CompactNodeBits nb;
-    nb.bits = std::move(node_bits[u]);
-    bits_.push_back(std::move(nb));
     std::vector<NodeId> free_neighbors;
     if (options_.neighbors_known) {
       const auto nbrs = g.neighbors(u);
       free_neighbors.assign(nbrs.begin(), nbrs.end());
     }
-    decoded_.push_back(decode_compact_node(bits_.back().bits, n_, u,
-                                           options_.node,
-                                           std::move(free_neighbors)));
+    tables->routed.push_back(compile_compact_node(
+        bits_[u].bits, n_, u, options_.node, std::move(free_neighbors)));
   }
+  tables_ = std::move(tables);
 }
 
 model::Model CompactDiam2Scheme::routing_model() const {
@@ -68,50 +78,13 @@ model::Model CompactDiam2Scheme::routing_model() const {
 
 NodeId CompactDiam2Scheme::next_hop(NodeId u, NodeId dest_label,
                                     model::MessageHeader&) const {
-  const NodeId hop = decoded_[u].next_of[dest_label];
-  if (hop == DecodedCompactNode::kInvalid) {
-    throw std::invalid_argument("CompactDiam2Scheme: routing to self");
-  }
-  return hop;
+  return tables_->next_hop(u, dest_label);
 }
 
-namespace {
-
-class CompactDiam2FastPath final : public model::FastPath {
- public:
-  explicit CompactDiam2FastPath(std::vector<model::PackedSparseArray> tables)
-      : tables_(std::move(tables)) {}
-
-  [[nodiscard]] std::string name() const override { return "compact-diam2"; }
-  [[nodiscard]] std::size_t node_count() const override {
-    return tables_.size();
-  }
-
-  [[nodiscard]] NodeId next_hop(NodeId u, NodeId dest_label) const override {
-    if (dest_label == u) {
-      throw std::invalid_argument("CompactDiam2Scheme: routing to self");
-    }
-    const auto& table = tables_[u];
-    if (table.contains(dest_label)) {
-      return static_cast<NodeId>(table.value(dest_label));
-    }
-    return dest_label;  // direct destination (a neighbour of u)
-  }
-
- private:
-  std::vector<model::PackedSparseArray> tables_;
-};
-
-}  // namespace
-
 std::unique_ptr<model::FastPath> CompactDiam2Scheme::compile_fast() const {
-  std::vector<model::PackedSparseArray> tables;
-  tables.reserve(n_);
-  for (NodeId u = 0; u < n_; ++u) {
-    tables.push_back(compile_node_table(u, decoded_[u].next_of));
-  }
   model::note_fastpath_compiled("compact_diam2");
-  return std::make_unique<CompactDiam2FastPath>(std::move(tables));
+  return std::make_unique<model::SharedTablesFastPath<Tables>>(name(),
+                                                               tables_);
 }
 
 model::SpaceReport CompactDiam2Scheme::space() const {

@@ -44,8 +44,7 @@ class CompactDiam2Scheme final : public model::RoutingScheme {
   [[nodiscard]] NodeId next_hop(NodeId u, NodeId dest_label,
                                 model::MessageHeader& header) const override;
   [[nodiscard]] model::SpaceReport space() const override;
-  /// Compiled form: per node, a rank-indexed sparse table of the routed
-  /// (non-neighbour) destinations; direct destinations answer themselves.
+  /// Compiled form: a FastPath over the tables next_hop routes from.
   [[nodiscard]] std::unique_ptr<model::FastPath> compile_fast() const override;
 
   /// Serialized local routing function of `u` (exactly what next_hop
@@ -60,12 +59,17 @@ class CompactDiam2Scheme final : public model::RoutingScheme {
   }
 
  private:
+  struct Tables;
+
+  /// Decodes bits_ (+ free neighbour knowledge under II) into tables_.
+  void decode(const graph::Graph& g);
+
   std::size_t n_;
   Options options_;
   std::vector<CompactNodeBits> bits_;
-  // Decoded-once routing caches; built purely by decode_compact_node from
-  // bits_ (+ free neighbour knowledge under II).
-  std::vector<DecodedCompactNode> decoded_;
+  // Per node, a rank-indexed sparse table of the routed (non-neighbour)
+  // destinations; direct destinations answer themselves.
+  std::shared_ptr<const Tables> tables_;
 };
 
 }  // namespace optrt::schemes

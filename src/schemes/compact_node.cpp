@@ -6,6 +6,7 @@
 #include "bitio/bit_stream.hpp"
 #include "bitio/codes.hpp"
 #include "schemes/errors.hpp"
+#include "schemes/succinct_node_table.hpp"
 
 namespace optrt::schemes {
 
@@ -100,67 +101,108 @@ CompactNodeBits build_compact_node(const graph::Graph& g, NodeId u,
   return out;
 }
 
-DecodedCompactNode decode_compact_node(const bitio::BitVector& bits,
-                                       std::size_t n, NodeId u,
-                                       const CompactNodeOptions& opt,
-                                       std::vector<NodeId> free_neighbors) {
+namespace {
+
+/// The Theorem 1 table reader shared by both decoded views: the node's
+/// neighbours, the routed (non-neighbour, non-self) destinations as a
+/// membership mask, and their coverers in increasing destination order.
+struct RoutedDestinations {
+  std::vector<NodeId> neighbors;
+  bitio::BitVector routed;
+  std::vector<std::uint32_t> hops;
+};
+
+RoutedDestinations read_compact_node(const bitio::BitVector& bits,
+                                     std::size_t n, NodeId u,
+                                     const CompactNodeOptions& opt,
+                                     std::vector<NodeId> free_neighbors) {
   BitReader r(bits);
-  DecodedCompactNode node;
+  RoutedDestinations out;
 
   if (opt.include_adjacency) {
-    node.neighbors.clear();
     for (NodeId v = 0; v < n; ++v) {
       if (v == u) continue;
-      if (r.read_bit()) node.neighbors.push_back(v);
+      if (r.read_bit()) out.neighbors.push_back(v);
     }
   } else {
-    node.neighbors = std::move(free_neighbors);
+    out.neighbors = std::move(free_neighbors);
   }
 
   const auto m = static_cast<std::size_t>(r.read_bits(ceil_log2_plus1(n)));
-  if (m > node.neighbors.size()) {
+  if (m > out.neighbors.size()) {
     throw std::out_of_range("decode_compact_node: center count exceeds degree");
   }
 
   std::vector<NodeId> centers(m);
   if (opt.greedy_cover) {
     const unsigned rank_width =
-        ceil_log2(std::max<std::size_t>(node.neighbors.size(), 1));
+        ceil_log2(std::max<std::size_t>(out.neighbors.size(), 1));
     for (std::size_t i = 0; i < m; ++i) {
       const auto rank = static_cast<std::size_t>(r.read_bits(rank_width));
-      if (rank >= node.neighbors.size()) {
+      if (rank >= out.neighbors.size()) {
         throw std::out_of_range("decode_compact_node: bad center rank");
       }
-      centers[i] = node.neighbors[rank];
+      centers[i] = out.neighbors[rank];
     }
   } else {
     // Least-neighbour centers are the first m sorted neighbours.
-    for (std::size_t i = 0; i < m; ++i) centers[i] = node.neighbors[i];
+    for (std::size_t i = 0; i < m; ++i) centers[i] = out.neighbors[i];
   }
 
-  node.next_of.assign(n, DecodedCompactNode::kInvalid);
-  for (NodeId v : node.neighbors) node.next_of[v] = v;
+  // Routed destinations: everything but u and its neighbours.
+  out.routed = bitio::BitVector(n);
+  for (NodeId v = 0; v < n; ++v) out.routed.set(v, v != u);
+  for (NodeId v : out.neighbors) out.routed.set(v, false);
 
   // Table 1: non-neighbours in increasing order.
-  std::vector<NodeId> deferred;
+  std::vector<std::size_t> deferred;
   for (NodeId v = 0; v < n; ++v) {
-    if (v == u || node.next_of[v] == v) continue;
+    if (!out.routed.get(v)) continue;
     const std::uint64_t t = bitio::read_unary(r);
     if (t > 0) {
       if (t > m) throw std::out_of_range("decode_compact_node: bad unary index");
-      node.next_of[v] = centers[t - 1];
+      out.hops.push_back(centers[t - 1]);
     } else {
-      deferred.push_back(v);
+      deferred.push_back(out.hops.size());
+      out.hops.push_back(0);
     }
   }
   // Table 2.
   const unsigned index_width = ceil_log2(std::max<std::size_t>(m, 1));
-  for (NodeId v : deferred) {
+  for (const std::size_t slot : deferred) {
     const auto index = static_cast<std::size_t>(r.read_bits(index_width));
     if (index >= m) throw std::out_of_range("decode_compact_node: bad index");
-    node.next_of[v] = centers[index];
+    out.hops[slot] = centers[index];
   }
+  return out;
+}
+
+}  // namespace
+
+DecodedCompactNode decode_compact_node(const bitio::BitVector& bits,
+                                       std::size_t n, NodeId u,
+                                       const CompactNodeOptions& opt,
+                                       std::vector<NodeId> free_neighbors) {
+  RoutedDestinations routes =
+      read_compact_node(bits, n, u, opt, std::move(free_neighbors));
+  DecodedCompactNode node;
+  node.next_of.assign(n, DecodedCompactNode::kInvalid);
+  for (NodeId v : routes.neighbors) node.next_of[v] = v;
+  std::size_t i = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    if (routes.routed.get(v)) node.next_of[v] = routes.hops[i++];
+  }
+  node.neighbors = std::move(routes.neighbors);
   return node;
+}
+
+model::PackedSparseArray compile_compact_node(
+    const bitio::BitVector& bits, std::size_t n, NodeId u,
+    const CompactNodeOptions& opt, std::vector<NodeId> free_neighbors) {
+  RoutedDestinations routes =
+      read_compact_node(bits, n, u, opt, std::move(free_neighbors));
+  return model::PackedSparseArray(std::move(routes.routed), routes.hops,
+                                  ceil_log2(std::max<std::size_t>(n, 2)));
 }
 
 }  // namespace optrt::schemes

@@ -60,8 +60,6 @@ class HierarchicalScheme final : public model::RoutingScheme {
   [[nodiscard]] std::size_t node_count() const override { return n_; }
   [[nodiscard]] NodeId next_hop(NodeId u, NodeId dest_label,
                                 model::MessageHeader& header) const override;
-  /// Tracks the current pivot level in the header's phase field.
-  [[nodiscard]] bool stateless_next_hop() const override { return false; }
   [[nodiscard]] model::SpaceReport space() const override;
   [[nodiscard]] std::vector<NodeId> port_enumeration(NodeId u) const override;
   /// Compiled form: per node, a rank-indexed target membership vector with

@@ -21,12 +21,12 @@
 // scheme of choice. bench_related_work measures both regimes.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "bitio/bit_vector.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
-#include "graph/ports.hpp"
 #include "model/scheme.hpp"
 
 namespace optrt::schemes {
@@ -62,35 +62,32 @@ class LandmarkScheme final : public model::RoutingScheme {
   [[nodiscard]] NodeId next_hop(NodeId u, NodeId dest_label,
                                 model::MessageHeader& header) const override;
   [[nodiscard]] model::SpaceReport space() const override;
-  /// Compiled form: per node, a rank-indexed vicinity membership vector
-  /// plus bit-packed landmark ports, resolved through a port-order CSR.
+  /// Compiled form: a FastPath over the tables next_hop routes from.
   [[nodiscard]] std::unique_ptr<model::FastPath> compile_fast() const override;
 
   [[nodiscard]] const std::vector<NodeId>& landmarks() const {
     return landmarks_;
   }
-  [[nodiscard]] NodeId landmark_of(NodeId v) const { return landmark_of_[v]; }
-  [[nodiscard]] std::size_t vicinity_size(NodeId w) const {
-    return decoded_[w].vicinity_ids.size();
-  }
+  [[nodiscard]] NodeId landmark_of(NodeId v) const;
+  [[nodiscard]] std::size_t vicinity_size(NodeId w) const;
   [[nodiscard]] const bitio::BitVector& function_bits(NodeId u) const {
     return function_bits_[u];
   }
 
  private:
-  struct DecodedNode {
-    std::vector<graph::PortId> landmark_port;  // per landmark index
-    std::vector<NodeId> vicinity_ids;          // sorted
-    std::vector<graph::PortId> vicinity_port;  // aligned
-  };
+  struct Tables;
+
+  /// The one table decoder: validates function_bits_ against the graph
+  /// (port bounds, sorted vicinities, no trailing bits) and decodes them,
+  /// with the nearest-landmark map, into tables_.
+  void decode(const graph::Graph& g, std::vector<NodeId> landmark_of);
 
   std::size_t n_;
-  graph::PortAssignment ports_;
-  std::vector<NodeId> landmarks_;       // sorted
-  std::vector<NodeId> landmark_of_;     // v → nearest landmark (least id tie)
-  std::vector<std::uint32_t> landmark_index_;  // landmark id → index in list
+  std::vector<NodeId> landmarks_;  // sorted
   std::vector<bitio::BitVector> function_bits_;
-  std::vector<DecodedNode> decoded_;
+  // Per node, a rank-indexed vicinity membership vector plus bit-packed
+  // landmark ports, resolved through a port-order CSR.
+  std::shared_ptr<const Tables> tables_;
 };
 
 }  // namespace optrt::schemes

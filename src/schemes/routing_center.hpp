@@ -11,6 +11,7 @@
 // diameter-2 graphs.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -38,8 +39,7 @@ class RoutingCenterScheme final : public model::RoutingScheme {
   [[nodiscard]] NodeId next_hop(NodeId u, NodeId dest_label,
                                 model::MessageHeader& header) const override;
   [[nodiscard]] model::SpaceReport space() const override;
-  /// Compiled form: adjacency bit-matrix, rank-indexed sparse tables at
-  /// the centers, flat center hops elsewhere.
+  /// Compiled form: a FastPath over the tables next_hop routes from.
   [[nodiscard]] std::unique_ptr<model::FastPath> compile_fast() const override;
 
   [[nodiscard]] const std::vector<NodeId>& centers() const { return center_ids_; }
@@ -48,14 +48,19 @@ class RoutingCenterScheme final : public model::RoutingScheme {
   }
 
  private:
+  struct Tables;
+
+  /// Decodes function_bits_ (+ free neighbour knowledge under model II)
+  /// into tables_, checking every stored center label.
+  void decode(const graph::Graph& g);
+
   std::size_t n_;
   std::vector<NodeId> center_ids_;  ///< B, sorted
   // Per node: either a compact table (centers) or a stored center label.
   std::vector<bitio::BitVector> function_bits_;
-  std::vector<DecodedCompactNode> decoded_;  ///< empty next_of when not in B
-  std::vector<NodeId> my_center_;            ///< valid when not in B
-  std::vector<bool> in_b_;
-  const graph::Graph* g_;  // free neighbour knowledge under model II
+  // Adjacency bit-matrix, rank-indexed sparse tables at the centers, flat
+  // center hops elsewhere.
+  std::shared_ptr<const Tables> tables_;
 };
 
 }  // namespace optrt::schemes

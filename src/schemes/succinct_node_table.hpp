@@ -1,12 +1,13 @@
 // Shared compiled form of a Theorem-1 style per-node table.
 //
-// A decoded compact node knows, for every destination v, either "v is a
+// A compact node knows, for every destination v, either "v is a
 // neighbour — deliver directly" or "forward to this stored coverer". The
 // query-optimized encoding is a membership bit-vector of the *routed*
 // destinations with O(1) rank into a bit-packed array of their coverers
 // (model::PackedSparseArray): contains(v) == false means v answers
-// itself. compact-diam2 uses one per node; hub and routing-center reuse
-// it for the table-holding nodes.
+// itself. compact-diam2 decodes one per node and routing-center one per
+// center straight from the bits (compile_compact_node); the hub compiles
+// its decoded table (compile_node_table).
 #pragma once
 
 #include <cstdint>
@@ -20,6 +21,12 @@
 #include "schemes/compact_node.hpp"
 
 namespace optrt::schemes {
+
+/// Decodes a compact node table (same inputs, checks and exceptions as
+/// decode_compact_node) straight into its compiled form.
+[[nodiscard]] model::PackedSparseArray compile_compact_node(
+    const bitio::BitVector& bits, std::size_t n, NodeId u,
+    const CompactNodeOptions& opt, std::vector<NodeId> free_neighbors);
 
 /// Compiles next_of (the decoded per-destination hops of node `u`, with
 /// kInvalid at u itself) into a sparse rank-indexed table over the

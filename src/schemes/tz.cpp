@@ -139,8 +139,35 @@ bitio::BitVector tz_build_node_bits(const graph::Graph& g,
   return out.take();
 }
 
+struct TzScheme::Tables {
+  std::vector<model::PackedSparseArray> cluster;        // per node
+  std::vector<model::PackedValueArray> landmark_ports;  // per node
+  std::vector<NodeId> landmark_of;  // v → nearest landmark (least id tie)
+  std::vector<std::uint32_t> landmark_index;  // landmark id → index in list
+  std::vector<graph::PortId> exit_port;  // at l(v), toward v (label part)
+  graph::CsrGraph csr;  // sorted = port order for this scheme
+
+  [[nodiscard]] std::size_t node_count() const { return landmark_of.size(); }
+  [[nodiscard]] NodeId next_hop(NodeId u, NodeId dest_label) const {
+    // The charged label is (v, l(v), exit port at l(v)); numerically we
+    // receive v and look the rest up from the label table the scheme
+    // itself published.
+    const NodeId v = dest_label;
+    if (v == u) throw std::invalid_argument("TzScheme: routing to self");
+    const auto& members = cluster[u];
+    if (members.contains(v)) {
+      return csr.neighbor_at(u, static_cast<graph::PortId>(members.value(v)));
+    }
+    const NodeId l = landmark_of[v];  // from the destination's label
+    if (u == l) return csr.neighbor_at(u, exit_port[v]);
+    const auto port = static_cast<graph::PortId>(
+        landmark_ports[u].at(landmark_index[l]));
+    return csr.neighbor_at(u, port);
+  }
+};
+
 TzScheme::TzScheme(const graph::Graph& g, Options options)
-    : n_(g.node_count()), ports_(graph::PortAssignment::sorted(g)) {
+    : n_(g.node_count()) {
   if (!graph::is_connected(g)) {
     throw SchemeInapplicable("tz: graph disconnected");
   }
@@ -148,108 +175,73 @@ TzScheme::TzScheme(const graph::Graph& g, Options options)
   const graph::DistanceMatrix& dist = *dist_cached;
 
   landmarks_ = tz_sample_landmarks(g, dist, options);
-
-  landmark_index_.assign(n_, 0);
-  for (std::uint32_t i = 0; i < landmarks_.size(); ++i) {
-    landmark_index_[landmarks_[i]] = i;
-  }
-
-  // Nearest landmark per node (least id on ties — landmarks_ is sorted).
-  landmark_of_.assign(n_, landmarks_[0]);
-  std::vector<std::uint32_t> dva(n_, graph::kUnreachable);
-  for (NodeId v = 0; v < n_; ++v) {
-    for (NodeId l : landmarks_) {
-      if (dist.at(v, l) < dva[v]) {
-        dva[v] = dist.at(v, l);
-        landmark_of_[v] = l;
-      }
-    }
-  }
-
-  // Build and serialize per-node tables.
-  const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n_, 2));
+  const auto dva = dist_to_set(dist, n_, landmarks_);
+  const auto ports = graph::PortAssignment::sorted(g);
   function_bits_.resize(n_);
-  decoded_.resize(n_);
   for (NodeId w = 0; w < n_; ++w) {
-    const unsigned port_width =
-        bitio::ceil_log2(std::max<std::size_t>(g.degree(w), 1));
-    function_bits_[w] = tz_build_node_bits(g, dist, ports_, landmarks_, dva, w);
-
-    // Honest read-back.
-    bitio::BitReader r(function_bits_[w]);
-    DecodedNode& node = decoded_[w];
-    node.landmark_port.resize(landmarks_.size());
-    for (auto& pt : node.landmark_port) {
-      pt = static_cast<graph::PortId>(r.read_bits(port_width));
-    }
-    const auto size =
-        static_cast<std::size_t>(r.read_bits(bitio::ceil_log2_plus1(n_)));
-    node.cluster_ids.resize(size);
-    node.cluster_port.resize(size);
-    for (std::size_t i = 0; i < size; ++i) {
-      node.cluster_ids[i] = static_cast<NodeId>(r.read_bits(id_width));
-      node.cluster_port[i] =
-          static_cast<graph::PortId>(r.read_bits(port_width));
-    }
+    function_bits_[w] = tz_build_node_bits(g, dist, ports, landmarks_, dva, w);
   }
-  finish_build(g, dist);
+  decode(g, dist);
 }
 
 TzScheme::TzScheme(const graph::Graph& g, std::vector<NodeId> landmarks,
                    std::vector<bitio::BitVector> node_bits)
     : n_(g.node_count()),
-      ports_(graph::PortAssignment::sorted(g)),
-      landmarks_(std::move(landmarks)) {
+      landmarks_(std::move(landmarks)),
+      function_bits_(std::move(node_bits)) {
   // Nearest landmarks are a deterministic function of the graph.
-  const auto dist_cached = graph::DistanceCache::global().get(g);
-  init_from_bits(g, std::move(node_bits), *dist_cached);
+  decode(g, *graph::DistanceCache::global().get(g));
 }
 
 TzScheme::TzScheme(const graph::Graph& g, std::vector<NodeId> landmarks,
                    std::vector<bitio::BitVector> node_bits,
                    const graph::DistanceMatrix& dist)
     : n_(g.node_count()),
-      ports_(graph::PortAssignment::sorted(g)),
-      landmarks_(std::move(landmarks)) {
-  init_from_bits(g, std::move(node_bits), dist);
+      landmarks_(std::move(landmarks)),
+      function_bits_(std::move(node_bits)) {
+  decode(g, dist);
 }
 
-void TzScheme::init_from_bits(const graph::Graph& g,
-                              std::vector<bitio::BitVector> node_bits,
-                              const graph::DistanceMatrix& dist) {
-  if (node_bits.size() != n_ || landmarks_.empty()) {
+void TzScheme::decode(const graph::Graph& g,
+                      const graph::DistanceMatrix& dist) {
+  if (function_bits_.size() != n_ || landmarks_.empty()) {
     throw std::invalid_argument("TzScheme: bad serialized state");
   }
-  landmark_index_.assign(n_, 0);
+  auto tables = std::make_shared<Tables>();
+  tables->landmark_index.assign(n_, 0);
   for (std::uint32_t i = 0; i < landmarks_.size(); ++i) {
     if (landmarks_[i] >= n_ ||
         (i > 0 && landmarks_[i] <= landmarks_[i - 1])) {
       throw std::invalid_argument("TzScheme: bad landmark set");
     }
-    landmark_index_[landmarks_[i]] = i;
+    tables->landmark_index[landmarks_[i]] = i;
   }
-  landmark_of_.assign(n_, landmarks_[0]);
+  tables->landmark_of.assign(n_, landmarks_[0]);
   for (NodeId v = 0; v < n_; ++v) {
-    std::uint32_t bst = graph::kUnreachable;
+    std::uint32_t best = graph::kUnreachable;
     for (NodeId l : landmarks_) {
-      if (dist.at(v, l) < bst) {
-        bst = dist.at(v, l);
-        landmark_of_[v] = l;
+      if (dist.at(v, l) < best) {
+        best = dist.at(v, l);
+        tables->landmark_of[v] = l;
       }
     }
   }
+  tables->csr = graph::CsrGraph(g);
+  tables->cluster.reserve(n_);
+  tables->landmark_ports.reserve(n_);
+  bunch_size_.assign(n_, landmarks_.size());
+  auto cluster_sizes = obs::histogram("schemes.tz.cluster_size",
+                                      obs::hop_buckets());
   const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n_, 2));
-  function_bits_ = std::move(node_bits);
-  decoded_.resize(n_);
+  std::vector<std::uint32_t> landmark_port(landmarks_.size());
+  std::vector<std::uint32_t> cluster_port;
   for (NodeId w = 0; w < n_; ++w) {
     const unsigned port_width =
         bitio::ceil_log2(std::max<std::size_t>(g.degree(w), 1));
     const std::size_t degree = std::max<std::size_t>(g.degree(w), 1);
     bitio::BitReader r(function_bits_[w]);
-    DecodedNode& node = decoded_[w];
-    node.landmark_port.resize(landmarks_.size());
-    for (auto& pt : node.landmark_port) {
-      pt = static_cast<graph::PortId>(r.read_bits(port_width));
+    for (auto& pt : landmark_port) {
+      pt = static_cast<std::uint32_t>(r.read_bits(port_width));
       if (pt >= degree) {
         throw std::invalid_argument(
             "TzScheme: stored port exceeds the node degree");
@@ -260,139 +252,68 @@ void TzScheme::init_from_bits(const graph::Graph& g,
     if (size > n_) {
       throw std::invalid_argument("TzScheme: cluster larger than n");
     }
-    node.cluster_ids.resize(size);
-    node.cluster_port.resize(size);
+    bitio::BitVector members(n_);
+    cluster_port.resize(size);
+    NodeId prev = 0;
     for (std::size_t i = 0; i < size; ++i) {
-      node.cluster_ids[i] = static_cast<NodeId>(r.read_bits(id_width));
-      node.cluster_port[i] =
-          static_cast<graph::PortId>(r.read_bits(port_width));
-      // next_hop binary-searches the cluster and indexes ports unchecked;
-      // both invariants must hold before the table is ever queried.
-      if (node.cluster_ids[i] >= n_ ||
-          (i > 0 && node.cluster_ids[i] <= node.cluster_ids[i - 1])) {
+      const auto id = static_cast<NodeId>(r.read_bits(id_width));
+      cluster_port[i] = static_cast<std::uint32_t>(r.read_bits(port_width));
+      // The membership vector needs distinct in-range ids, and next_hop
+      // indexes ports unchecked.
+      if (id >= n_ || (i > 0 && id <= prev)) {
         throw std::invalid_argument("TzScheme: bad cluster table");
       }
-      if (node.cluster_port[i] >= degree) {
+      if (cluster_port[i] >= degree) {
         throw std::invalid_argument(
             "TzScheme: stored port exceeds the node degree");
       }
+      members.set(id, true);
+      ++bunch_size_[id];
+      prev = id;
     }
     if (!r.exhausted()) {
       throw std::invalid_argument("TzScheme: trailing bits in a node table");
     }
+    cluster_sizes.observe(size);
+    tables->cluster.emplace_back(std::move(members), cluster_port, port_width);
+    tables->landmark_ports.emplace_back(landmark_port, port_width);
   }
-  finish_build(g, dist);
-}
-
-void TzScheme::finish_build(const graph::Graph& g,
-                            const graph::DistanceMatrix& dist) {
   // Label exit ports: at l(v), the port toward v (least shortest-path
   // successor) — the third component of the charged (v, l(v), port) label.
-  exit_port_.assign(n_, 0);
+  // Ports are the sorted assignment, so a successor's port is its rank.
+  tables->exit_port.assign(n_, 0);
   for (NodeId v = 0; v < n_; ++v) {
-    const NodeId l = landmark_of_[v];
+    const NodeId l = tables->landmark_of[v];
     if (l == v) continue;
-    exit_port_[v] = first_hop_port(g, dist, ports_, l, v);
+    const std::uint32_t rank = graph::first_hop_rank(g, dist, l, v);
+    if (rank != graph::kNoHop) tables->exit_port[v] = rank;
   }
-  // Bunch sizes: |B(v)| = |{w : v ∈ C(w)}| + |A|.
-  bunch_size_.assign(n_, landmarks_.size());
-  auto cluster_sizes = obs::histogram("schemes.tz.cluster_size",
-                                      obs::hop_buckets());
-  for (NodeId w = 0; w < n_; ++w) {
-    for (NodeId v : decoded_[w].cluster_ids) ++bunch_size_[v];
-    cluster_sizes.observe(decoded_[w].cluster_ids.size());
-  }
+  tables_ = std::move(tables);
   obs::counter("schemes.tz.built").inc();
 }
 
 NodeId TzScheme::next_hop(NodeId u, NodeId dest_label,
                           model::MessageHeader&) const {
-  // The charged label is (v, l(v), exit port at l(v)); numerically we
-  // receive v and look the rest up from the label table the scheme itself
-  // published.
-  const NodeId v = dest_label;
-  if (v == u) throw std::invalid_argument("TzScheme: routing to self");
-  const DecodedNode& node = decoded_[u];
-  const auto it = std::lower_bound(node.cluster_ids.begin(),
-                                   node.cluster_ids.end(), v);
-  if (it != node.cluster_ids.end() && *it == v) {
-    const auto i = static_cast<std::size_t>(it - node.cluster_ids.begin());
-    return ports_.neighbor_at(u, node.cluster_port[i]);
-  }
-  const NodeId l = landmark_of_[v];  // from the destination's label
-  if (u == l) return ports_.neighbor_at(u, exit_port_[v]);
-  return ports_.neighbor_at(u, node.landmark_port[landmark_index_[l]]);
+  return tables_->next_hop(u, dest_label);
+}
+
+NodeId TzScheme::landmark_of(NodeId v) const {
+  return tables_->landmark_of[v];
+}
+
+std::size_t TzScheme::cluster_size(NodeId w) const {
+  return tables_->cluster[w].member_count();
 }
 
 std::vector<NodeId> TzScheme::port_enumeration(NodeId u) const {
-  const auto ports = ports_.ports(u);
+  const auto ports = tables_->csr.neighbors(u);
   return {ports.begin(), ports.end()};
 }
 
-namespace {
-
-class TzFastPath final : public model::FastPath {
- public:
-  TzFastPath(std::size_t n, std::vector<model::PackedSparseArray> cluster,
-             std::vector<model::PackedValueArray> landmark_ports,
-             std::vector<NodeId> landmark_of,
-             std::vector<std::uint32_t> landmark_index,
-             std::vector<graph::PortId> exit_port, graph::CsrGraph csr)
-      : n_(n),
-        cluster_(std::move(cluster)),
-        landmark_ports_(std::move(landmark_ports)),
-        landmark_of_(std::move(landmark_of)),
-        landmark_index_(std::move(landmark_index)),
-        exit_port_(std::move(exit_port)),
-        csr_(std::move(csr)) {}
-
-  [[nodiscard]] std::string name() const override { return "tz"; }
-  [[nodiscard]] std::size_t node_count() const override { return n_; }
-
-  [[nodiscard]] NodeId next_hop(NodeId u, NodeId dest_label) const override {
-    const NodeId v = dest_label;
-    if (v == u) throw std::invalid_argument("TzScheme: routing to self");
-    const auto& cluster = cluster_[u];
-    if (cluster.contains(v)) {
-      return csr_.neighbor_at(u, static_cast<graph::PortId>(cluster.value(v)));
-    }
-    const NodeId l = landmark_of_[v];
-    if (u == l) return csr_.neighbor_at(u, exit_port_[v]);
-    const auto port = static_cast<graph::PortId>(
-        landmark_ports_[u].at(landmark_index_[l]));
-    return csr_.neighbor_at(u, port);
-  }
-
- private:
-  std::size_t n_;
-  std::vector<model::PackedSparseArray> cluster_;
-  std::vector<model::PackedValueArray> landmark_ports_;
-  std::vector<NodeId> landmark_of_;
-  std::vector<std::uint32_t> landmark_index_;
-  std::vector<graph::PortId> exit_port_;
-  graph::CsrGraph csr_;  // sorted = port order for this scheme
-};
-
-}  // namespace
-
 std::unique_ptr<model::FastPath> TzScheme::compile_fast() const {
-  std::vector<model::PackedSparseArray> cluster;
-  std::vector<model::PackedValueArray> landmark_ports;
-  cluster.reserve(n_);
-  landmark_ports.reserve(n_);
-  for (NodeId w = 0; w < n_; ++w) {
-    const unsigned port_width =
-        bitio::ceil_log2(std::max<std::size_t>(ports_.degree(w), 1));
-    const DecodedNode& node = decoded_[w];
-    bitio::BitVector mask(n_);
-    for (NodeId v : node.cluster_ids) mask.set(v, true);
-    cluster.emplace_back(std::move(mask), node.cluster_port, port_width);
-    landmark_ports.emplace_back(node.landmark_port, port_width);
-  }
   model::note_fastpath_compiled("tz");
-  return std::make_unique<TzFastPath>(
-      n_, std::move(cluster), std::move(landmark_ports), landmark_of_,
-      landmark_index_, exit_port_, graph::CsrGraph::from_ports(ports_));
+  return std::make_unique<model::SharedTablesFastPath<Tables>>(name(),
+                                                               tables_);
 }
 
 model::SpaceReport TzScheme::space() const {
@@ -407,7 +328,8 @@ model::SpaceReport TzScheme::space() const {
   for (NodeId v = 0; v < n_; ++v) {
     report.label_bits +=
         2 * id_width +
-        bitio::ceil_log2(std::max<std::size_t>(ports_.degree(landmark_of_[v]), 1));
+        bitio::ceil_log2(std::max<std::size_t>(
+            tables_->csr.degree(tables_->landmark_of[v]), 1));
   }
   return report;
 }

@@ -22,6 +22,7 @@
 // and bunch at O(√(n log n)) w.h.p. instead of the ⌈√n⌉-landmark heuristic.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "bitio/bit_vector.hpp"
@@ -90,9 +91,7 @@ class TzScheme final : public model::RoutingScheme {
   [[nodiscard]] NodeId next_hop(NodeId u, NodeId dest_label,
                                 model::MessageHeader& header) const override;
   [[nodiscard]] model::SpaceReport space() const override;
-  /// Compiled form: per node, a rank-indexed cluster membership vector plus
-  /// bit-packed landmark ports and the label exit ports, resolved through a
-  /// port-order CSR.
+  /// Compiled form: a FastPath over the tables next_hop routes from.
   [[nodiscard]] std::unique_ptr<model::FastPath> compile_fast() const override;
   [[nodiscard]] std::vector<NodeId> port_enumeration(NodeId u) const override;
 
@@ -102,10 +101,8 @@ class TzScheme final : public model::RoutingScheme {
   [[nodiscard]] const std::vector<NodeId>& landmarks() const {
     return landmarks_;
   }
-  [[nodiscard]] NodeId landmark_of(NodeId v) const { return landmark_of_[v]; }
-  [[nodiscard]] std::size_t cluster_size(NodeId w) const {
-    return decoded_[w].cluster_ids.size();
-  }
+  [[nodiscard]] NodeId landmark_of(NodeId v) const;
+  [[nodiscard]] std::size_t cluster_size(NodeId w) const;
   /// |B(v)| = |{w : d(v, w) < d(v, A)}| + |A| (v's bunch: the nodes whose
   /// cluster contains v, plus every landmark).
   [[nodiscard]] std::size_t bunch_size(NodeId v) const {
@@ -116,29 +113,22 @@ class TzScheme final : public model::RoutingScheme {
   }
 
  private:
-  struct DecodedNode {
-    std::vector<graph::PortId> landmark_port;  // per landmark index
-    std::vector<NodeId> cluster_ids;           // sorted, strict C(w)
-    std::vector<graph::PortId> cluster_port;   // aligned
-  };
+  struct Tables;
 
-  /// Shared body of the deserializing constructors.
-  void init_from_bits(const graph::Graph& g,
-                      std::vector<bitio::BitVector> node_bits,
-                      const graph::DistanceMatrix& dist);
-
-  /// Shared tail of all constructors: exit ports, bunch sizes, metrics.
-  void finish_build(const graph::Graph& g, const graph::DistanceMatrix& dist);
+  /// The one table decoder, shared by every constructor: validates the
+  /// landmark set and function_bits_ against the graph (port bounds,
+  /// sorted clusters, no trailing bits), decodes them into tables_ with
+  /// the label parts (l(v) and exit ports), and records bunch sizes.
+  void decode(const graph::Graph& g, const graph::DistanceMatrix& dist);
 
   std::size_t n_;
-  graph::PortAssignment ports_;
-  std::vector<NodeId> landmarks_;       // sorted
-  std::vector<NodeId> landmark_of_;     // v → nearest landmark (least id tie)
-  std::vector<std::uint32_t> landmark_index_;  // landmark id → index in list
-  std::vector<graph::PortId> exit_port_;  // at l(v), toward v (label part)
+  std::vector<NodeId> landmarks_;  // sorted
   std::vector<std::size_t> bunch_size_;
   std::vector<bitio::BitVector> function_bits_;
-  std::vector<DecodedNode> decoded_;
+  // Per node, a rank-indexed cluster membership vector plus bit-packed
+  // landmark ports, with the label exit ports, resolved through a
+  // port-order CSR.
+  std::shared_ptr<const Tables> tables_;
 };
 
 }  // namespace optrt::schemes

@@ -1,8 +1,9 @@
 // Differential oracle for the compiled fast paths: every scheme kind's
-// FastPath must answer the full pair space bit-identically to the
-// BitReader decode path (RoutingScheme::next_hop with a fresh header),
-// including which exceptions are thrown — on seeded G(n,1/2), ring, and
-// grid topologies, at any shard/thread count.
+// FastPath must answer the full pair space bit-identically to the scheme's
+// own next_hop with a fresh header, including which exceptions are thrown
+// — on seeded G(n,1/2), ring, and grid topologies, at any shard/thread
+// count. For the schemes whose next_hop shares the FastPath's tables,
+// pinned fingerprints and the reference compact-node decoder stand in.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -226,6 +227,72 @@ TEST(FastPath, BatchFingerprintsIndependentOfThreadCount) {
   expect_fingerprints_stable(schemes::HierarchicalScheme(g));
   expect_fingerprints_stable(schemes::SequentialSearchScheme(g));
   expect_fingerprints_stable(schemes::TzScheme(g));
+}
+
+// --- Pinned decode-path answers ---------------------------------------------
+//
+// compact-diam2, routing-center, landmark and TZ answer next_hop from the
+// very tables their FastPath shares, so the differential above compares
+// those tables with themselves. These full-pair fingerprints were recorded
+// from the dense per-node decode caches the shared tables replaced.
+
+schemes::CompactDiam2Scheme::Options greedy_ib_options() {
+  auto opt = schemes::CompactDiam2Scheme::Options::for_model(model::kIBalpha);
+  opt.node.greedy_cover = true;
+  return opt;
+}
+
+TEST(FastPath, DecodePathFingerprintsArePinned) {
+  const Graph g = certified(96, 1996);
+  EXPECT_EQ(slow_fingerprint(schemes::CompactDiam2Scheme(g, {})), 0x4251a0605cc444a0ULL);
+  EXPECT_EQ(slow_fingerprint(schemes::CompactDiam2Scheme(g, greedy_ib_options())),
+            0x56b3dfc1bf40de97ULL);
+  EXPECT_EQ(slow_fingerprint(schemes::RoutingCenterScheme(g)), 0x1a6588e9bdb0b80ULL);
+  EXPECT_EQ(slow_fingerprint(schemes::LandmarkScheme(g)), 0xaea22e06937b23d1ULL);
+  EXPECT_EQ(slow_fingerprint(schemes::TzScheme(g)), 0x4effdefd8dd7742aULL);
+  const Graph ring = graph::ring(64);
+  EXPECT_EQ(slow_fingerprint(schemes::LandmarkScheme(ring)), 0x2f4731b46d9d4ff2ULL);
+  EXPECT_EQ(slow_fingerprint(schemes::TzScheme(ring)), 0x34d4ee303736f30eULL);
+  const Graph grid = graph::grid(8, 8);
+  EXPECT_EQ(slow_fingerprint(schemes::LandmarkScheme(grid)), 0x4f77579a6972a39eULL);
+  EXPECT_EQ(slow_fingerprint(schemes::TzScheme(grid)), 0x97072fedd9bf923fULL);
+}
+
+/// compact-diam2's next_hop against decode_compact_node, the reference
+/// decoder of one node's Theorem 1 table.
+void expect_matches_reference_decoder(
+    const Graph& g, const schemes::CompactDiam2Scheme::Options& opt) {
+  const schemes::CompactDiam2Scheme scheme(g, opt);
+  const auto n = static_cast<NodeId>(g.node_count());
+  schemes::CompactNodeOptions node_opt = opt.node;
+  node_opt.include_adjacency = !opt.neighbors_known;
+  for (NodeId u = 0; u < n; ++u) {
+    std::vector<NodeId> free_neighbors;
+    if (opt.neighbors_known) {
+      const auto nbrs = g.neighbors(u);
+      free_neighbors.assign(nbrs.begin(), nbrs.end());
+    }
+    const schemes::DecodedCompactNode ref = schemes::decode_compact_node(
+        scheme.function_bits(u), n, u, node_opt, std::move(free_neighbors));
+    for (NodeId v = 0; v < n; ++v) {
+      const Outcome got = capture([&] {
+        model::MessageHeader header;
+        return scheme.next_hop(u, v, header);
+      });
+      if (v == u) {
+        ASSERT_EQ(got.kind, Outcome::kInvalidArgument) << "u=" << u;
+      } else {
+        ASSERT_EQ(got, (Outcome{.kind = Outcome::kHop, .hop = ref.next_of[v], .what = ""}))
+            << "u=" << u << " dest=" << v;
+      }
+    }
+  }
+}
+
+TEST(FastPath, CompactDiam2MatchesTheReferenceDecoder) {
+  const Graph g = certified(96, 1996);
+  expect_matches_reference_decoder(g, {});
+  expect_matches_reference_decoder(g, greedy_ib_options());
 }
 
 // --- Fallback, batch contract, and lookup.* counters -----------------------

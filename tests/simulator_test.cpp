@@ -14,6 +14,7 @@
 #include "schemes/full_information.hpp"
 #include "schemes/full_table.hpp"
 #include "schemes/sequential_search.hpp"
+#include "schemes/tz.hpp"
 
 namespace optrt::net {
 namespace {
@@ -243,128 +244,185 @@ TEST(Workload, EndToEndPermutationOnCertifiedGraph) {
   EXPECT_LE(stats.mean_hops(), 2.0);
 }
 
-// ---- batch_routing: the FastPath delivery loop is bit-identical -------
+// ---- Pinned delivery-loop fingerprints ----------------------------------
 
-/// Runs the same scenario with batch_routing off and on and demands
-/// bit-identical stats, per-message records, link loads, and the
-/// sim.queue_peak gauge — SimulatorConfig::batch_routing is a pure
-/// performance knob, never a semantics knob.
-void expect_batching_identical(const Graph& g,
-                               const model::RoutingScheme& scheme,
-                               SimulatorConfig config,
-                               const std::function<void(Simulator&)>& setup) {
-  SimulationStats stats[2];
-  std::vector<MessageRecord> records[2];
-  std::vector<std::uint64_t> loads[2];
-  std::int64_t queue_peak[2] = {0, 0};
-  const auto n = static_cast<NodeId>(g.node_count());
-  for (int pass = 0; pass < 2; ++pass) {
-    obs::ScopedRegistry scoped;
-    config.batch_routing = pass == 1;
-    Simulator sim(g, scheme, config);
-    setup(sim);
-    stats[pass] = sim.run();
-    records[pass] = sim.records();
-    for (NodeId u = 0; u < n; ++u) {
-      for (NodeId v = 0; v < n; ++v) {
-        if (u != v && g.has_edge(u, v)) {
-          loads[pass].push_back(sim.link_load(u, v));
-        }
-      }
-    }
-    queue_peak[pass] = scoped.registry().gauge_value("sim.queue_peak");
+constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
+constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t value) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (value >> (8 * b)) & 0xff;
+    h *= kFnvPrime;
   }
-
-  EXPECT_EQ(stats[0].sent, stats[1].sent);
-  EXPECT_EQ(stats[0].delivered, stats[1].delivered);
-  EXPECT_EQ(stats[0].dropped, stats[1].dropped);
-  EXPECT_EQ(stats[0].total_hops, stats[1].total_hops);
-  EXPECT_EQ(stats[0].makespan, stats[1].makespan);
-  EXPECT_EQ(stats[0].max_link_load, stats[1].max_link_load);
-  EXPECT_EQ(stats[0].total_retries, stats[1].total_retries);
-  EXPECT_EQ(stats[0].deflections, stats[1].deflections);
-  EXPECT_EQ(stats[0].fallback_messages, stats[1].fallback_messages);
-  EXPECT_EQ(stats[0].shortest_hops, stats[1].shortest_hops);
-  EXPECT_EQ(queue_peak[0], queue_peak[1]);
-  EXPECT_EQ(loads[0], loads[1]);
-
-  ASSERT_EQ(records[0].size(), records[1].size());
-  for (std::size_t i = 0; i < records[0].size(); ++i) {
-    const MessageRecord& a = records[0][i];
-    const MessageRecord& b = records[1][i];
-    EXPECT_EQ(a.id, b.id) << i;
-    EXPECT_EQ(a.source, b.source) << i;
-    EXPECT_EQ(a.destination, b.destination) << i;
-    EXPECT_EQ(a.delivered, b.delivered) << i;
-    EXPECT_EQ(a.dropped_on_failure, b.dropped_on_failure) << i;
-    EXPECT_EQ(a.used_fallback, b.used_fallback) << i;
-    EXPECT_EQ(a.retries, b.retries) << i;
-    EXPECT_EQ(a.deflections, b.deflections) << i;
-    EXPECT_EQ(a.hops, b.hops) << i;
-    EXPECT_EQ(a.send_time, b.send_time) << i;
-    EXPECT_EQ(a.arrival_time, b.arrival_time) << i;
-  }
+  return h;
 }
 
-TEST(SimulatorBatching, AllPairsStaggeredSendsAreIdentical) {
+/// What one run leaves behind: its stats, every MessageRecord, the load of
+/// every directed link, and the sim.queue_peak gauge.
+struct RunPin {
+  std::uint64_t fingerprint = 0;
+  std::size_t delivered = 0;
+  std::uint64_t total_hops = 0;
+  std::int64_t queue_peak = 0;
+};
+
+RunPin pin_run(const Graph& g, const model::RoutingScheme& scheme,
+               const SimulatorConfig& config,
+               const std::function<void(Simulator&)>& setup) {
+  obs::ScopedRegistry scoped;
+  Simulator sim(g, scheme, config);
+  setup(sim);
+  const SimulationStats stats = sim.run();
+  RunPin pin;
+  pin.delivered = stats.delivered;
+  pin.total_hops = stats.total_hops;
+  pin.queue_peak = scoped.registry().gauge_value("sim.queue_peak");
+  std::uint64_t h = kFnvBasis;
+  for (const std::uint64_t v :
+       {std::uint64_t{stats.sent}, std::uint64_t{stats.delivered},
+        std::uint64_t{stats.dropped}, stats.total_hops, stats.makespan,
+        stats.max_link_load, stats.total_retries, stats.deflections,
+        std::uint64_t{stats.fallback_messages}, stats.shortest_hops,
+        static_cast<std::uint64_t>(pin.queue_peak)}) {
+    h = fnv1a(h, v);
+  }
+  for (const MessageRecord& r : sim.records()) {
+    for (const std::uint64_t v :
+         {r.id, std::uint64_t{r.source}, std::uint64_t{r.destination},
+          std::uint64_t{r.delivered}, std::uint64_t{r.dropped_on_failure},
+          std::uint64_t{r.used_fallback}, std::uint64_t{r.retries},
+          std::uint64_t{r.deflections}, std::uint64_t{r.hops}, r.send_time,
+          r.arrival_time}) {
+      h = fnv1a(h, v);
+    }
+  }
+  const auto n = static_cast<NodeId>(g.node_count());
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = 0; v < n; ++v) {
+      if (u != v && g.has_edge(u, v)) h = fnv1a(h, sim.link_load(u, v));
+    }
+  }
+  pin.fingerprint = h;
+  return pin;
+}
+
+void expect_pinned(const RunPin& got, const RunPin& want) {
+  EXPECT_EQ(got.delivered, want.delivered);
+  EXPECT_EQ(got.total_hops, want.total_hops);
+  EXPECT_EQ(got.queue_peak, want.queue_peak);
+  EXPECT_EQ(got.fingerprint, want.fingerprint)
+      << std::hex << "0x" << got.fingerprint;
+}
+
+// The values below were recorded with the per-hop event loop that the
+// timestep-draining loop replaced; any change to delivery order, queue
+// peak, link loads or a record shows up here.
+
+TEST(SimulatorPinned, AllPairsStaggeredSends) {
   const Graph g = certified(40, 9);
   const auto scheme = schemes::FullTableScheme::standard(g);
-  expect_batching_identical(g, scheme, {}, [](Simulator& sim) {
-    std::uint64_t t = 0;
-    for (const auto& [src, dst] : all_pairs(40)) sim.send(src, dst, t++ % 7);
-  });
+  expect_pinned(pin_run(g, scheme, {},
+                        [](Simulator& sim) {
+                          std::uint64_t t = 0;
+                          for (const auto& [src, dst] : all_pairs(40)) {
+                            sim.send(src, dst, t++ % 7);
+                          }
+                        }),
+                {0x611703106a3ca0f6ULL, 1560, 2316, 1560});
 }
 
-TEST(SimulatorBatching, SerializedLinksAndHotspotAreIdentical) {
+TEST(SimulatorPinned, SerializedLinksAndHotspot) {
   const Graph g = certified(32, 10);
   const auto scheme = schemes::FullTableScheme::standard(g);
   SimulatorConfig config;
   config.serialize_links = true;
   config.link_latency = 3;
-  expect_batching_identical(g, scheme, config, [](Simulator& sim) {
-    for (const auto& [src, dst] : hotspot(32, 5)) sim.send(src, dst);
-  });
+  expect_pinned(pin_run(g, scheme, config,
+                        [](Simulator& sim) {
+                          for (const auto& [src, dst] : hotspot(32, 5)) {
+                            sim.send(src, dst);
+                          }
+                        }),
+                {0xa8a8d93949732693ULL, 31, 46, 31});
 }
 
-TEST(SimulatorBatching, StatefulSchemeFallsBackIdentically) {
-  // SequentialSearchScheme carries routing state in the header, so
-  // batch_routing must refuse to compile a FastPath and run the per-hop
-  // loop — with answers identical by construction.
+TEST(SimulatorPinned, StatefulScheme) {
+  // SequentialSearchScheme carries routing state in the header.
   const Graph g = certified(32, 11);
   const schemes::SequentialSearchScheme scheme(g);
-  EXPECT_FALSE(scheme.stateless_next_hop());
-  expect_batching_identical(g, scheme, {}, [](Simulator& sim) {
-    Rng rng(13);
-    for (const auto& [src, dst] : permutation_traffic(32, rng)) {
-      sim.send(src, dst);
-    }
-  });
+  expect_pinned(pin_run(g, scheme, {},
+                        [](Simulator& sim) {
+                          Rng rng(13);
+                          for (const auto& [src, dst] :
+                               permutation_traffic(32, rng)) {
+                            sim.send(src, dst);
+                          }
+                        }),
+                {0x3e26868ddcded987ULL, 32, 78, 32});
 }
 
-TEST(SimulatorBatching, ActiveFailuresFallBackIdentically) {
-  // Failures force the batched loop back onto the per-hop path (faults
-  // consult link state mid-route); records must stay identical, drops
-  // included.
+TEST(SimulatorPinned, ScheduledFailures) {
   const Graph g = certified(32, 12);
   const auto scheme = schemes::FullTableScheme::standard(g);
   SimulatorConfig config;
   config.measure_stretch = true;
-  expect_batching_identical(g, scheme, config, [&](Simulator& sim) {
-    sim.schedule(uniform_link_faults(g, 24, {.seed = 17}));
-    std::uint64_t t = 0;
-    for (const auto& [src, dst] : all_pairs(32)) sim.send(src, dst, t++ % 5);
-  });
+  expect_pinned(pin_run(g, scheme, config,
+                        [&](Simulator& sim) {
+                          sim.schedule(uniform_link_faults(g, 24, {.seed = 17}));
+                          std::uint64_t t = 0;
+                          for (const auto& [src, dst] : all_pairs(32)) {
+                            sim.send(src, dst, t++ % 5);
+                          }
+                        }),
+                {0xf2fcfa2989dce77cULL, 808, 1108, 992});
 }
 
-TEST(SimulatorBatching, ImmediateLinkFailureIsIdentical) {
+TEST(SimulatorPinned, ImmediateLinkFailure) {
   const Graph g = graph::chain(8);
   const auto scheme = schemes::FullTableScheme::standard(g);
-  expect_batching_identical(g, scheme, {}, [](Simulator& sim) {
-    sim.fail_link(3, 4);
-    sim.send(0, 7);
-    sim.send(7, 0);
-    sim.send(0, 3);
-  });
+  expect_pinned(pin_run(g, scheme, {},
+                        [](Simulator& sim) {
+                          sim.fail_link(3, 4);
+                          sim.send(0, 7);
+                          sim.send(7, 0);
+                          sim.send(0, 3);
+                        }),
+                {0xc52c9cf93cafbd26ULL, 1, 3, 3});
+}
+
+TEST(SimulatorPinned, ThorupZwickWithRepairsAndDeflection) {
+  // A compiled-table scheme under timed failures and repairs, with the
+  // deflection policy consulting the scheme's port order.
+  const Graph g = graph::TopologyFamily::power_law(2).make(64, 3);
+  const schemes::TzScheme scheme(g);
+  SimulatorConfig config;
+  config.resilience.policy = ResiliencePolicy::kDeflect;
+  expect_pinned(
+      pin_run(g, scheme, config,
+              [&](Simulator& sim) {
+                sim.schedule(uniform_link_faults(
+                    g, 12, {.seed = 5, .fail_time = 2, .repair_after = 4}));
+                Rng rng(21);
+                std::uint64_t t = 0;
+                for (const auto& [src, dst] : uniform_random(64, 600, rng)) {
+                  sim.send(src, dst, t++ % 9);
+                }
+              }),
+      {0x261b7429af8636bbULL, 600, 1882, 600});
+}
+
+// ---- Endpoint validation ---------------------------------------------------
+
+TEST(Simulator, SendRejectsOutOfRangeEndpoints) {
+  const Graph g = certified(16, 3);
+  const auto scheme = schemes::FullTableScheme::standard(g);
+  Simulator sim(g, scheme);
+  EXPECT_THROW(sim.send(16, 0), std::invalid_argument);
+  EXPECT_THROW(sim.send(0, 16), std::invalid_argument);
+  EXPECT_THROW(sim.send(0, 0), std::invalid_argument);
+  EXPECT_TRUE(sim.records().empty());
+  sim.send(0, 15);
+  EXPECT_EQ(sim.run().delivered, 1u);
 }
 
 }  // namespace
