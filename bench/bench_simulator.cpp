@@ -99,6 +99,38 @@ void BM_VerifyScheme(benchmark::State& state) {
 }
 BENCHMARK(BM_VerifyScheme)->Arg(64)->Arg(128);
 
+// All-pairs BFS on both sides of its path switch: `ba:2` runs 64 sources
+// per word, `grid` gives up on that and runs one BFS per source. The
+// counters report which path ran (per iteration).
+void BM_DistanceMatrix(benchmark::State& state, const char* family) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const graph::Graph g = graph::TopologyFamily::parse(family).make(n, 1);
+  auto& reg = obs::MetricsRegistry::global();
+  const std::uint64_t batches_before =
+      reg.counter_value("graph.apsp.bitparallel_batches");
+  const std::uint64_t scalar_before =
+      reg.counter_value("graph.apsp.scalar_sources");
+  for (auto _ : state) {
+    const graph::DistanceMatrix dist(g);
+    benchmark::DoNotOptimize(dist.at(0, static_cast<graph::NodeId>(n - 1)));
+  }
+  const auto per_iteration = [&](const char* name, std::uint64_t before) {
+    return benchmark::Counter(
+        static_cast<double>(reg.counter_value(name) - before),
+        benchmark::Counter::kAvgIterations);
+  };
+  state.counters["batches"] =
+      per_iteration("graph.apsp.bitparallel_batches", batches_before);
+  state.counters["scalar_sources"] =
+      per_iteration("graph.apsp.scalar_sources", scalar_before);
+}
+BENCHMARK_CAPTURE(BM_DistanceMatrix, ba2, "ba:2")
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_DistanceMatrix, grid, "grid")
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 BENCHMARK_MAIN();

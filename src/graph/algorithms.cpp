@@ -1,43 +1,170 @@
 #include "graph/algorithms.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <queue>
 #include <stdexcept>
 
+#include "graph/csr.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace optrt::graph {
 
-std::vector<std::uint32_t> bfs_distances(const Graph& g, NodeId source) {
-  std::vector<std::uint32_t> dist(g.node_count(), kUnreachable);
+namespace {
+
+/// Breadth-first search from `source` into `dist` (n entries, overwritten;
+/// kUnreachable where disconnected). `queue` is scratch of at least n
+/// entries. Reads only neighbors(u), so it runs on Graph and CsrGraph alike.
+template <class Adjacency>
+void bfs_into(const Adjacency& g, NodeId source, std::uint32_t* dist,
+              NodeId* queue) {
+  std::fill(dist, dist + g.node_count(), kUnreachable);
   dist[source] = 0;
-  std::vector<NodeId> frontier{source};
-  std::vector<NodeId> next;
-  std::uint32_t level = 0;
-  while (!frontier.empty()) {
-    ++level;
-    next.clear();
-    for (NodeId u : frontier) {
-      for (NodeId v : g.neighbors(u)) {
-        if (dist[v] == kUnreachable) {
-          dist[v] = level;
-          next.push_back(v);
-        }
+  std::size_t head = 0;
+  std::size_t tail = 0;
+  queue[tail++] = source;
+  while (head < tail) {
+    const NodeId u = queue[head++];
+    const std::uint32_t next = dist[u] + 1;
+    for (NodeId v : g.neighbors(u)) {
+      if (dist[v] == kUnreachable) {
+        dist[v] = next;
+        queue[tail++] = v;
       }
     }
-    frontier.swap(next);
   }
+}
+
+/// Word-per-node state of one 64-source BFS batch, reused across batches.
+/// A completed batch leaves frontier and next all zero; an abandoned one
+/// is the last batch of its call.
+struct BatchScratch {
+  explicit BatchScratch(std::size_t n) : seen(n), frontier(n), next(n) {
+    active.reserve(n);
+    touched.reserve(n);
+  }
+  std::vector<std::uint64_t> seen;      // bit i: reached from source s0 + i
+  std::vector<std::uint64_t> frontier;  // bit i: reached at this level
+  std::vector<std::uint64_t> next;      // frontier words pushed this level
+  std::vector<NodeId> active;           // nodes with a nonzero frontier
+  std::vector<NodeId> touched;          // nodes with a nonzero next
+};
+
+/// BFS from the k ≤ 64 sources s0 … s0+k−1 at once: bit i of a node's word
+/// stands for source s0 + i, and each level every frontier node ORs its
+/// word into its neighbours'. By symmetry d(s0+i, w) = d(w, s0+i), so a
+/// node w reached at level ℓ writes ℓ into its own row's contiguous slice
+/// d[w][s0 … s0+k), and the batch ends by filling the slices' unreached
+/// entries with kUnreachable.
+///
+/// k per-source BFS runs scan k·2m arcs; a batch pays off only while it
+/// scans well under that. Once its arc scans pass k·2m/8 it gives up and
+/// returns false, leaving the k columns partly written.
+bool bfs_batch(const CsrGraph& g, NodeId s0, unsigned k, std::uint32_t* d,
+               BatchScratch& s) {
+  const std::size_t n = g.node_count();
+  const std::uint64_t all = k == 64 ? ~std::uint64_t{0}
+                                    : (std::uint64_t{1} << k) - 1;
+  std::fill(s.seen.begin(), s.seen.end(), 0);
+  s.active.clear();
+  for (unsigned i = 0; i < k; ++i) {
+    const NodeId src = s0 + i;
+    s.seen[src] = s.frontier[src] = std::uint64_t{1} << i;
+    d[static_cast<std::size_t>(src) * n + src] = 0;
+    s.active.push_back(src);
+  }
+  const std::uint64_t scalar_arcs = k * g.arc_count();
+  std::uint64_t arcs = 0;
+  for (std::uint32_t level = 1; !s.active.empty(); ++level) {
+    s.touched.clear();
+    for (NodeId u : s.active) {
+      const std::uint64_t word = s.frontier[u];
+      s.frontier[u] = 0;
+      const auto nbrs = g.neighbors(u);
+      arcs += nbrs.size();
+      for (NodeId w : nbrs) {
+        if (s.next[w] == 0) s.touched.push_back(w);
+        s.next[w] |= word;
+      }
+    }
+    if (8 * arcs > scalar_arcs) return false;
+    s.active.clear();
+    for (NodeId w : s.touched) {
+      std::uint64_t fresh = s.next[w] & ~s.seen[w];
+      s.next[w] = 0;
+      if (fresh == 0) continue;
+      s.seen[w] |= fresh;
+      s.frontier[w] = fresh;
+      s.active.push_back(w);
+      std::uint32_t* slice = d + static_cast<std::size_t>(w) * n + s0;
+      for (; fresh != 0; fresh &= fresh - 1) {
+        slice[std::countr_zero(fresh)] = level;
+      }
+    }
+  }
+  for (NodeId w = 0; w < n; ++w) {
+    std::uint32_t* slice = d + static_cast<std::size_t>(w) * n + s0;
+    for (std::uint64_t miss = all & ~s.seen[w]; miss != 0; miss &= miss - 1) {
+      slice[std::countr_zero(miss)] = kUnreachable;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+std::vector<std::uint32_t> bfs_distances(const Graph& g, NodeId source) {
+  std::vector<std::uint32_t> dist(g.node_count());
+  std::vector<NodeId> queue(g.node_count());
+  bfs_into(g, source, dist.data(), queue.data());
   return dist;
 }
 
-DistanceMatrix::DistanceMatrix(const Graph& g) : n_(g.node_count()) {
-  d_.reserve(n_ * n_);
-  for (NodeId u = 0; u < n_; ++u) {
-    auto row = bfs_distances(g, u);
-    d_.insert(d_.end(), row.begin(), row.end());
+void all_pairs_distances(const Graph& g, std::span<std::uint32_t> out) {
+  const std::size_t n = g.node_count();
+  if (out.size() != n * n) {
+    throw std::invalid_argument("all_pairs_distances: out.size() != n*n");
   }
+  if (n == 0) return;
+  const CsrGraph csr(g);
+  std::uint64_t batches = 0;
+  NodeId source = 0;
+  {
+    BatchScratch scratch(n);
+    while (source < n) {
+      const auto k =
+          static_cast<unsigned>(std::min<std::size_t>(64, n - source));
+      if (!bfs_batch(csr, source, k, out.data(), scratch)) break;
+      ++batches;
+      source += k;
+    }
+  }
+  // From the first batch that gave up on, one BFS per source, straight
+  // into its row. That rewrites every row from first_scalar on in full.
+  const NodeId first_scalar = source;
+  std::vector<NodeId> queue(n);
+  for (; source < n; ++source) {
+    bfs_into(csr, source, out.data() + static_cast<std::size_t>(source) * n,
+             queue.data());
+  }
+  // The batch sources' rows still lack (or hold an abandoned batch's
+  // partial) scalar columns; copy them from the scalar rows by symmetry.
+  for (NodeId s = first_scalar; s < n; ++s) {
+    const std::uint32_t* row = out.data() + static_cast<std::size_t>(s) * n;
+    for (NodeId w = 0; w < first_scalar; ++w) {
+      out[static_cast<std::size_t>(w) * n + s] = row[w];
+    }
+  }
+  auto& reg = obs::MetricsRegistry::global();
+  reg.counter("graph.apsp.bitparallel_batches").inc(batches);
+  reg.counter("graph.apsp.scalar_sources").inc(n - first_scalar);
+}
+
+DistanceMatrix::DistanceMatrix(const Graph& g)
+    : n_(g.node_count()), d_(n_ * n_) {
+  all_pairs_distances(g, d_);
 }
 
 DistanceMatrix::DistanceMatrix(std::size_t n, std::vector<std::uint32_t> flat)

@@ -79,9 +79,9 @@ HierarchicalScheme::HierarchicalScheme(const graph::Graph& g, Options options)
   // Entry assembly: target → (port, installed?). Vicinity/top entries win
   // over installed duplicates.
   std::vector<std::map<NodeId, std::pair<graph::PortId, bool>>> entries(n_);
+  // ports_ is the sorted assignment: a first hop's rank is its port.
   auto hop_port = [&](NodeId from, NodeId to) {
-    return ports_.port_of(
-        from, graph::shortest_path_successors(g, dist, from, to).front());
+    return graph::first_hop_rank(g, dist, from, to);
   };
   auto add_direct = [&](NodeId at, NodeId target) {
     if (at == target) return;
@@ -119,7 +119,7 @@ HierarchicalScheme::HierarchicalScheme(const graph::Graph& g, Options options)
       NodeId at = t;
       while (at != x) {
         add_installed(at, x);
-        at = graph::shortest_path_successors(g, dist, at, x).front();
+        at = g.neighbors(at)[graph::first_hop_rank(g, dist, at, x)];
       }
     }
   }

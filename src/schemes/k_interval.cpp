@@ -29,12 +29,12 @@ KIntervalScheme::KIntervalScheme(const graph::Graph& g)
   decoded_.resize(n_);
   for (NodeId u = 0; u < n_; ++u) {
     const std::size_t degree = g.degree(u);
-    // Destination → port of least shortest-path successor.
+    // Destination → port of least shortest-path successor (ports_ is the
+    // sorted assignment, so the successor's rank is its port).
     std::vector<std::vector<NodeId>> members(degree);
     for (NodeId v = 0; v < n_; ++v) {
       if (v == u) continue;
-      const auto succ = graph::shortest_path_successors(g, dist, u, v);
-      members[ports_.port_of(u, succ.front())].push_back(v);
+      members[graph::first_hop_rank(g, dist, u, v)].push_back(v);
     }
     // Merge each port's (sorted) member list into maximal cyclic runs.
     // Two labels are in one run when consecutive mod n, skipping u itself

@@ -76,8 +76,8 @@ LandmarkScheme::LandmarkScheme(const graph::Graph& g, Options options)
     }
   }
 
-  // Build and serialize per-node tables.
-  const auto ports = graph::PortAssignment::sorted(g);
+  // Build and serialize per-node tables. Ports are the sorted assignment,
+  // so a first hop's neighbour rank is its port.
   const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n_, 2));
   function_bits_.resize(n_);
   for (NodeId w = 0; w < n_; ++w) {
@@ -88,10 +88,7 @@ LandmarkScheme::LandmarkScheme(const graph::Graph& g, Options options)
     // landmark itself; store 0).
     for (NodeId l : landmarks_) {
       graph::PortId port = 0;
-      if (l != w) {
-        const auto succ = graph::shortest_path_successors(g, dist, w, l);
-        port = ports.port_of(w, succ.front());
-      }
+      if (l != w) port = graph::first_hop_rank(g, dist, w, l);
       out.write_bits(port, port_width);
     }
     // (b) vicinity table: v with d(w,v) ≤ d(v, l(v)).
@@ -103,9 +100,8 @@ LandmarkScheme::LandmarkScheme(const graph::Graph& g, Options options)
     }
     out.write_bits(vicinity.size(), bitio::ceil_log2_plus1(n_));
     for (NodeId v : vicinity) {
-      const auto succ = graph::shortest_path_successors(g, dist, w, v);
       out.write_bits(v, id_width);
-      out.write_bits(ports.port_of(w, succ.front()), port_width);
+      out.write_bits(graph::first_hop_rank(g, dist, w, v), port_width);
     }
     function_bits_[w] = out.take();
   }
@@ -122,14 +118,16 @@ LandmarkScheme::LandmarkScheme(const graph::Graph& g,
   for (NodeId l : landmarks_) {
     if (l >= n_) throw std::invalid_argument("LandmarkScheme: bad landmark id");
   }
-  // Nearest landmarks are a deterministic function of the graph.
+  // Nearest landmarks are a deterministic function of the graph: one BFS
+  // per landmark, read as d(v, l) = d(l, v). Landmarks are scanned in list
+  // order with a strict test, so ties keep the first (least, as built).
   std::vector<NodeId> landmark_of(n_, landmarks_[0]);
-  for (NodeId v = 0; v < n_; ++v) {
-    const auto dist = graph::bfs_distances(g, v);
-    std::uint32_t best = graph::kUnreachable;
-    for (NodeId l : landmarks_) {
-      if (dist[l] < best) {
-        best = dist[l];
+  std::vector<std::uint32_t> best(n_, graph::kUnreachable);
+  for (NodeId l : landmarks_) {
+    const auto dist = graph::bfs_distances(g, l);
+    for (NodeId v = 0; v < n_; ++v) {
+      if (dist[v] < best[v]) {
+        best[v] = dist[v];
         landmark_of[v] = l;
       }
     }

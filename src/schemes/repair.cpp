@@ -17,12 +17,8 @@ using graph::NodeId;
 // ---- DynamicDistances -----------------------------------------------------
 
 DynamicDistances::DynamicDistances(const graph::Graph& g)
-    : n_(g.node_count()) {
-  d_.reserve(n_ * n_);
-  for (NodeId u = 0; u < n_; ++u) {
-    const auto row = graph::bfs_distances(g, u);
-    d_.insert(d_.end(), row.begin(), row.end());
-  }
+    : n_(g.node_count()), d_(n_ * n_) {
+  graph::all_pairs_distances(g, d_);
 }
 
 bool DynamicDistances::connected() const noexcept {
@@ -79,10 +75,8 @@ DynamicDistances::Delta DynamicDistances::apply(const graph::Graph& g_new,
   }
   if (static_cast<double>(candidates.size()) >
       bfs_fallback_fraction * static_cast<double>(n_)) {
+    graph::all_pairs_distances(g_new, d_);
     for (NodeId s = 0; s < n_; ++s) {
-      const auto row = graph::bfs_distances(g_new, s);
-      std::copy(row.begin(), row.end(),
-                d_.begin() + static_cast<std::size_t>(s) * n_);
       delta.changed_rows.push_back(s);  // conservative: report every row
     }
     delta.rows_bfs = n_;

@@ -2,10 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
+#include "obs/metrics.hpp"
+#include "schemes/repair.hpp"
 
 namespace optrt::graph {
 namespace {
@@ -139,6 +143,163 @@ TEST_P(SuccessorProperty, FirstHopRanksPickTheLeastSuccessor) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SuccessorProperty,
                          ::testing::Values(1, 2, 3, 4, 5));
+
+// ---- all_pairs_distances: the 64-source kernel behind DistanceMatrix ----
+
+/// Element-by-element check of the kernel against per-source BFS.
+void expect_matches_bfs(const Graph& g, const std::string& label) {
+  const std::size_t n = g.node_count();
+  const DistanceMatrix dist(g);
+  ASSERT_EQ(dist.node_count(), n) << label;
+  for (NodeId u = 0; u < n; ++u) {
+    const auto expect = bfs_distances(g, u);
+    const auto row = dist.row(u);
+    ASSERT_TRUE(std::equal(row.begin(), row.end(), expect.begin()))
+        << label << ": row " << u;
+  }
+}
+
+/// The kernel's path counters, advanced by one DistanceMatrix(g).
+struct ApspPath {
+  std::uint64_t batches = 0;
+  std::uint64_t scalar = 0;
+};
+ApspPath apsp_path(const Graph& g) {
+  const auto& reg = obs::MetricsRegistry::global();
+  const std::uint64_t batches0 =
+      reg.counter_value("graph.apsp.bitparallel_batches");
+  const std::uint64_t scalar0 = reg.counter_value("graph.apsp.scalar_sources");
+  const DistanceMatrix dist(g);
+  return {reg.counter_value("graph.apsp.bitparallel_batches") - batches0,
+          reg.counter_value("graph.apsp.scalar_sources") - scalar0};
+}
+
+const char* const kFamilies[] = {"uniform", "gnp:0.05", "ba:1",
+                                 "ba:2",    "ba:3",     "config:2.1,2",
+                                 "grid",    "ring"};
+
+TEST(AllPairsDistances, MatchesPerSourceBfsOnEveryFamily) {
+  // 63/64/65 and 130 leave partial last batches; 1000 runs long enough on
+  // grid and ring for the switch to per-source BFS.
+  for (const char* spec : kFamilies) {
+    const TopologyFamily family = TopologyFamily::parse(spec);
+    for (const std::size_t n : {63, 64, 65, 130, 1000}) {
+      expect_matches_bfs(family.make(n, 7),
+                         std::string(spec) + " n=" + std::to_string(n));
+    }
+  }
+}
+
+TEST(AllPairsDistances, MatchesPerSourceBfsAtBatchBoundaries) {
+  for (const std::size_t n : {0, 1, 2, 63, 64, 65, 130, 1000}) {
+    Rng rng(n + 11);
+    expect_matches_bfs(n < 3 ? chain(n) : barabasi_albert(n, 2, rng),
+                       "ba:2 n=" + std::to_string(n));
+    expect_matches_bfs(Graph(n), "edgeless n=" + std::to_string(n));
+  }
+}
+
+TEST(AllPairsDistances, MatchesPerSourceBfsOnDisconnectedGraphs) {
+  // Two components whose ids interleave, so every batch spans both, plus
+  // trailing isolated nodes.
+  Rng rng(5);
+  const Graph a = barabasi_albert(90, 2, rng);
+  const Graph b = grid(6, 10);
+  const std::size_t n = a.node_count() + b.node_count() + 7;
+  std::vector<NodeId> id(n - 7);
+  std::iota(id.begin(), id.end(), 0);
+  std::shuffle(id.begin(), id.end(), rng);
+  Graph g(n);
+  for (NodeId u = 0; u < a.node_count(); ++u) {
+    for (NodeId v : a.neighbors(u)) {
+      if (u < v) g.add_edge(id[u], id[v]);
+    }
+  }
+  const auto off = static_cast<NodeId>(a.node_count());
+  for (NodeId u = 0; u < b.node_count(); ++u) {
+    for (NodeId v : b.neighbors(u)) {
+      if (u < v) g.add_edge(id[off + u], id[off + v]);
+    }
+  }
+  expect_matches_bfs(g, "two components + isolated");
+  EXPECT_FALSE(DistanceMatrix(g).connected());
+
+  Rng sparse(6);
+  expect_matches_bfs(random_gnp(200, 0.004, sparse), "gnp(200, 0.004)");
+}
+
+TEST(AllPairsDistances, LowDiameterGraphsStayBitParallel) {
+  Rng rng(21);
+  const ApspPath ba = apsp_path(barabasi_albert(1000, 2, rng));
+  EXPECT_EQ(ba.batches, 16u);  // ⌈1000 / 64⌉
+  EXPECT_EQ(ba.scalar, 0u);
+  const ApspPath gnp = apsp_path(random_uniform(512, rng));
+  EXPECT_EQ(gnp.batches, 8u);
+  EXPECT_EQ(gnp.scalar, 0u);
+}
+
+TEST(AllPairsDistances, LongDiameterGraphsSwitchToPerSourceBfs) {
+  // The first batch gives up before it completes.
+  const ApspPath g = apsp_path(TopologyFamily::grid().make(1024, 0));
+  EXPECT_EQ(g.batches, 0u);
+  EXPECT_EQ(g.scalar, 1024u);
+  const ApspPath r = apsp_path(ring(1000));
+  EXPECT_EQ(r.batches, 0u);
+  EXPECT_EQ(r.scalar, 1000u);
+}
+
+TEST(AllPairsDistances, SwitchesToPerSourceBfsMidway) {
+  // A lollipop: a 128-clique on ids 0..127 with a 1000-node path hanging
+  // off node 127. The two clique batches stay cheap; the first batch of
+  // path sources gives up after writing into the clique rows, which the
+  // per-source phase must then repair.
+  constexpr NodeId kClique = 128;
+  constexpr NodeId kN = kClique + 1000;
+  Graph g(kN);
+  for (NodeId u = 0; u < kClique; ++u) {
+    for (NodeId v = u + 1; v < kClique; ++v) g.add_edge(u, v);
+  }
+  for (NodeId u = kClique - 1; u + 1 < kN; ++u) g.add_edge(u, u + 1);
+  const ApspPath path = apsp_path(g);
+  EXPECT_EQ(path.batches, 2u);
+  EXPECT_EQ(path.scalar, kN - 2 * 64u);
+  expect_matches_bfs(g, "lollipop");
+}
+
+TEST(AllPairsDistances, RejectsAWrongOutputSize) {
+  std::vector<std::uint32_t> out(15);
+  EXPECT_THROW(all_pairs_distances(chain(4), out), std::invalid_argument);
+}
+
+TEST(AllPairsDistances, DynamicDistancesMatchesDistanceMatrix) {
+  Rng rng(33);
+  const Graph g = barabasi_albert(150, 2, rng);
+  const schemes::DynamicDistances dyn(g);
+  const DistanceMatrix fresh(g);
+  for (NodeId u = 0; u < 150; ++u) {
+    for (NodeId v = 0; v < 150; ++v) ASSERT_EQ(dyn.at(u, v), fresh.at(u, v));
+  }
+}
+
+TEST(AllPairsDistances, DynamicDistancesAllRowsFallbackMatches) {
+  // A fallback fraction of 0 sends every deletion through the all-rows
+  // recompute.
+  const Graph before = TopologyFamily::grid().make(120, 0);
+  schemes::DynamicDistances dyn(before);
+  Graph after(before.node_count());
+  for (NodeId u = 0; u < before.node_count(); ++u) {
+    for (NodeId v : before.neighbors(u)) {
+      if (u < v && !(u == 0 && v == 1)) after.add_edge(u, v);
+    }
+  }
+  const auto delta = dyn.apply(after, 0, 1, /*up=*/false, 0.0);
+  EXPECT_EQ(delta.rows_bfs, 120u);
+  EXPECT_EQ(delta.changed_rows.size(), 120u);
+  const DistanceMatrix fresh(after);
+  for (NodeId u = 0; u < 120; ++u) {
+    for (NodeId v = 0; v < 120; ++v) ASSERT_EQ(dyn.at(u, v), fresh.at(u, v));
+  }
+}
 
 TEST(Connectivity, DetectsComponents) {
   EXPECT_TRUE(is_connected(chain(5)));

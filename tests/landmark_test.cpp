@@ -77,6 +77,35 @@ TEST(Landmark, NearestLandmarkIsNearest) {
   }
 }
 
+TEST(Landmark, RebuiltSchemeKeepsTheLeastIdNearestLandmark) {
+  // A grid ties many nodes between landmarks. The deserializing
+  // constructor recomputes nearest landmarks from the graph; it must pick
+  // the least-id one on ties, exactly as the build did.
+  const Graph g = graph::grid(12, 12);
+  const LandmarkScheme built(g);
+  std::vector<bitio::BitVector> bits;
+  for (graph::NodeId u = 0; u < g.node_count(); ++u) {
+    bits.push_back(built.function_bits(u));
+  }
+  const LandmarkScheme rebuilt(g, built.landmarks(), std::move(bits));
+  const graph::DistanceMatrix dist(g);
+  std::size_t ties = 0;
+  for (graph::NodeId v = 0; v < g.node_count(); ++v) {
+    graph::NodeId least = built.landmarks()[0];
+    std::size_t nearest = 0;
+    for (graph::NodeId l : built.landmarks()) {
+      if (dist.at(v, l) < dist.at(v, least)) least = l;
+    }
+    for (graph::NodeId l : built.landmarks()) {
+      nearest += dist.at(v, l) == dist.at(v, least);
+    }
+    ties += nearest > 1;
+    EXPECT_EQ(built.landmark_of(v), least) << v;
+    EXPECT_EQ(rebuilt.landmark_of(v), least) << v;
+  }
+  EXPECT_GT(ties, 0u);
+}
+
 TEST(Landmark, LandmarksAreInEveryVicinityOfTheirChildren) {
   // v's nearest landmark always has v in its vicinity (the handoff anchor).
   Rng rng(10);

@@ -320,6 +320,8 @@ constexpr const char* kGoldenSimulateMetrics =
     "\"counters\":{"
     "\"core.certified_graph.attempts\":1,"
     "\"core.certified_graph.rejects\":0,"
+    "\"graph.apsp.bitparallel_batches\":1,"
+    "\"graph.apsp.scalar_sources\":0,"
     "\"graph.distance_cache.misses\":1,"
     "\"sim.deflections\":0,"
     "\"sim.delivered\":266,"

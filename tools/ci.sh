@@ -28,7 +28,7 @@ SANITIZED_TARGETS=(parallel_test distance_cache_test verifier_test
   serialization_test chaos_test fuzz_test fastpath_test rank_select_test
   serve_test serve_chaos_test topology_test tz_test congest_test
   congest_chaos_test churn_test churn_chaos_test simulator_test
-  landmark_test schemes_test)
+  landmark_test schemes_test algorithms_test)
 
 for stage in "${STAGES[@]}"; do
   echo "=== [$stage] configure ==="
