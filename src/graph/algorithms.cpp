@@ -122,6 +122,15 @@ std::vector<std::uint32_t> bfs_distances(const Graph& g, NodeId source) {
   return dist;
 }
 
+void bfs_distances_into(const Graph& g, NodeId source,
+                        std::span<std::uint32_t> dist,
+                        std::span<NodeId> queue) {
+  if (dist.size() != g.node_count() || queue.size() < g.node_count()) {
+    throw std::invalid_argument("bfs_distances_into: buffer too small");
+  }
+  bfs_into(g, source, dist.data(), queue.data());
+}
+
 void all_pairs_distances(const Graph& g, std::span<std::uint32_t> out) {
   const std::size_t n = g.node_count();
   if (out.size() != n * n) {
@@ -163,20 +172,21 @@ void all_pairs_distances(const Graph& g, std::span<std::uint32_t> out) {
 }
 
 DistanceMatrix::DistanceMatrix(const Graph& g)
-    : n_(g.node_count()), d_(n_ * n_) {
-  all_pairs_distances(g, d_);
+    : n_(g.node_count()),
+      d_(std::make_unique_for_overwrite<std::uint32_t[]>(n_ * n_)) {
+  all_pairs_distances(g, {d_.get(), n_ * n_});
 }
 
-DistanceMatrix::DistanceMatrix(std::size_t n, std::vector<std::uint32_t> flat)
-    : n_(n), d_(std::move(flat)) {
-  if (d_.size() != n_ * n_) {
-    throw std::invalid_argument("DistanceMatrix: flat size != n*n");
+void DistanceMatrix::recompute(const Graph& g) {
+  if (g.node_count() != n_) {
+    throw std::invalid_argument("DistanceMatrix::recompute: node count");
   }
+  all_pairs_distances(g, {d_.get(), n_ * n_});
 }
 
 std::uint32_t DistanceMatrix::diameter() const noexcept {
   std::uint32_t best = 0;
-  for (std::uint32_t x : d_) {
+  for (std::uint32_t x : entries()) {
     if (x == kUnreachable) return kUnreachable;
     best = std::max(best, x);
   }
@@ -184,7 +194,8 @@ std::uint32_t DistanceMatrix::diameter() const noexcept {
 }
 
 bool DistanceMatrix::connected() const noexcept {
-  return std::none_of(d_.begin(), d_.end(),
+  const auto d = entries();
+  return std::none_of(d.begin(), d.end(),
                       [](std::uint32_t x) { return x == kUnreachable; });
 }
 

@@ -24,6 +24,14 @@ inline constexpr std::uint32_t kUnreachable =
 [[nodiscard]] std::vector<std::uint32_t> bfs_distances(const Graph& g,
                                                        NodeId source);
 
+/// BFS distances from `source` into `dist` (n entries, overwritten;
+/// kUnreachable where disconnected), with `queue` (at least n entries) as
+/// scratch: no allocation, so a caller re-running many rows reuses one
+/// queue.
+void bfs_distances_into(const Graph& g, NodeId source,
+                        std::span<std::uint32_t> dist,
+                        std::span<NodeId> queue);
+
 /// All-pairs distances of `g` into `out` (row-major n×n, every entry
 /// overwritten; kUnreachable where disconnected). The kernel behind
 /// DistanceMatrix(const Graph&); see there for how it runs. Throws
@@ -54,23 +62,29 @@ class DistanceMatrix {
   ///   ring            0.970      12 ms    4.6 ms   n = 1024
   ///
   /// so low-diameter graphs stay bit-parallel and grids, rings and trees
-  /// (ba:1) switch within their first batch. Extra memory is O(n + m).
+  /// (ba:1) switch within their first batch. Extra memory is O(n + m). The
+  /// n² entries are allocated uninitialised, since the kernel writes each
+  /// one.
   explicit DistanceMatrix(const Graph& g);
-
-  /// Adopts precomputed distances (row-major n×n, kUnreachable where
-  /// disconnected). The churn repair path maintains distances
-  /// incrementally and snapshots them through this instead of re-running
-  /// all-pairs BFS. Throws std::invalid_argument on a size mismatch.
-  DistanceMatrix(std::size_t n, std::vector<std::uint32_t> flat);
 
   [[nodiscard]] std::uint32_t at(NodeId u, NodeId v) const noexcept {
     return d_[static_cast<std::size_t>(u) * n_ + v];
   }
   /// Row u: d(u, v) for every v, contiguous.
   [[nodiscard]] std::span<const std::uint32_t> row(NodeId u) const noexcept {
-    return {d_.data() + static_cast<std::size_t>(u) * n_, n_};
+    return {d_.get() + static_cast<std::size_t>(u) * n_, n_};
   }
   [[nodiscard]] std::size_t node_count() const noexcept { return n_; }
+
+  /// In-place maintenance for an incremental updater
+  /// (schemes::DynamicDistances), which keeps the matrix exact and
+  /// symmetric itself. mutable_row(u) is row u; recompute(g) re-runs
+  /// all_pairs_distances for `g` over the existing storage and throws
+  /// std::invalid_argument if g has a different node count.
+  [[nodiscard]] std::span<std::uint32_t> mutable_row(NodeId u) noexcept {
+    return {d_.get() + static_cast<std::size_t>(u) * n_, n_};
+  }
+  void recompute(const Graph& g);
 
   /// Max finite distance; kUnreachable if the graph is disconnected,
   /// 0 for graphs with < 2 nodes.
@@ -80,8 +94,12 @@ class DistanceMatrix {
   [[nodiscard]] bool connected() const noexcept;
 
  private:
+  [[nodiscard]] std::span<const std::uint32_t> entries() const noexcept {
+    return {d_.get(), n_ * n_};
+  }
+
   std::size_t n_;
-  std::vector<std::uint32_t> d_;
+  std::unique_ptr<std::uint32_t[]> d_;  // row-major n×n
 };
 
 /// All neighbours of `u` that lie on a shortest path from `u` to `v`

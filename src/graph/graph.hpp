@@ -32,6 +32,11 @@ class Graph {
   /// rejected with std::invalid_argument.
   void add_edge(NodeId u, NodeId v);
 
+  /// Removes the undirected edge {u, v} in place: clears both matrix bits
+  /// and erases each endpoint from the other's sorted list. Throws
+  /// std::invalid_argument if {u, v} is not an edge.
+  void remove_edge(NodeId u, NodeId v);
+
   /// True iff {u, v} is an edge.
   [[nodiscard]] bool has_edge(NodeId u, NodeId v) const noexcept {
     const std::size_t i = static_cast<std::size_t>(u) * words_per_row_ +

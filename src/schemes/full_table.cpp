@@ -19,14 +19,42 @@
 
 namespace optrt::schemes {
 
+namespace {
+
+unsigned entry_width_at(const graph::Graph& g, NodeId u) {
+  return bitio::ceil_log2(std::max<std::size_t>(g.degree(u), 1));
+}
+
+/// The deserialization checks on node u's table: n entries of
+/// entry_width_at(g, u) bits, each port below the degree. next_hop indexes
+/// the port assignment unchecked, so no stored port may reach the query
+/// path out of range.
+void check_table(const graph::Graph& g, NodeId u,
+                 const bitio::BitVector& bits) {
+  const std::size_t n = g.node_count();
+  const unsigned width = entry_width_at(g, u);
+  if (bits.size() != n * width) {
+    throw std::invalid_argument("FullTableScheme: table length mismatch");
+  }
+  const std::size_t degree = std::max<std::size_t>(g.degree(u), 1);
+  bitio::BitReader r(bits);
+  for (NodeId label = 0; label < n; ++label) {
+    if (r.read_bits(width) >= degree) {
+      throw std::invalid_argument(
+          "FullTableScheme: stored port exceeds the node degree");
+    }
+  }
+}
+
+}  // namespace
+
 bitio::BitVector full_table_node_bits(const graph::Graph& g,
                                       const graph::DistanceMatrix& dist,
                                       const graph::PortAssignment& ports,
                                       const graph::Labeling& labeling,
                                       NodeId u) {
   const std::size_t n = g.node_count();
-  const unsigned width =
-      bitio::ceil_log2(std::max<std::size_t>(g.degree(u), 1));
+  const unsigned width = entry_width_at(g, u);
   std::vector<std::uint32_t> ranks(n);
   graph::first_hop_ranks(g, dist, u, ranks);
   bitio::BitWriter w;
@@ -51,7 +79,7 @@ FullTableScheme::FullTableScheme(const graph::Graph& g,
   width_.resize(n_);
   table_bits_.resize(n_);
   for (NodeId u = 0; u < n_; ++u) {
-    width_[u] = bitio::ceil_log2(std::max<std::size_t>(g.degree(u), 1));
+    width_[u] = entry_width_at(g, u);
     table_bits_[u] =
         full_table_node_bits(g, *dist_cached, ports_, labeling_, u);
   }
@@ -72,21 +100,30 @@ FullTableScheme::FullTableScheme(const graph::Graph& g,
   }
   width_.resize(n_);
   for (NodeId u = 0; u < n_; ++u) {
-    width_[u] = bitio::ceil_log2(std::max<std::size_t>(g.degree(u), 1));
-    if (table_bits_[u].size() != n_ * width_[u]) {
-      throw std::invalid_argument("FullTableScheme: table length mismatch");
-    }
-    // Eager entry validation: next_hop indexes the port assignment
-    // unchecked, so no stored port may reach the query path out of range.
-    const std::size_t degree = std::max<std::size_t>(g.degree(u), 1);
-    bitio::BitReader r(table_bits_[u]);
-    for (NodeId label = 0; label < n_; ++label) {
-      if (r.read_bits(width_[u]) >= degree) {
-        throw std::invalid_argument(
-            "FullTableScheme: stored port exceeds the node degree");
-      }
-    }
+    check_table(g, u, table_bits_[u]);
+    width_[u] = entry_width_at(g, u);
   }
+}
+
+void FullTableScheme::patch(const graph::Graph& g,
+                            graph::PortAssignment ports,
+                            std::span<const NodeId> nodes,
+                            std::vector<bitio::BitVector> tables) {
+  if (g.node_count() != n_ || ports.node_count() != n_ ||
+      tables.size() != nodes.size()) {
+    throw std::invalid_argument("FullTableScheme::patch: size mismatch");
+  }
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (nodes[i] >= n_) {
+      throw std::invalid_argument("FullTableScheme::patch: node out of range");
+    }
+    check_table(g, nodes[i], tables[i]);
+  }
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    width_[nodes[i]] = entry_width_at(g, nodes[i]);
+    table_bits_[nodes[i]] = std::move(tables[i]);
+  }
+  ports_ = std::move(ports);
 }
 
 FullTableScheme FullTableScheme::standard(const graph::Graph& g) {

@@ -6,6 +6,7 @@
 // Works in every model, for every connected graph, always shortest path.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "bitio/bit_vector.hpp"
@@ -44,6 +45,16 @@ class FullTableScheme final : public model::RoutingScheme {
   FullTableScheme(const graph::Graph& g, graph::PortAssignment ports,
                   graph::Labeling labeling, model::Model declared_model,
                   std::vector<bitio::BitVector> tables);
+
+  /// Churn repair in place: adopts `ports`, the assignment on `g` after a
+  /// link change, and replaces the table of each nodes[i] by tables[i].
+  /// Widths and entries are re-checked for those rows only, as the
+  /// deserializing constructor checks every row; every other node must
+  /// keep its degree and table. Throws std::invalid_argument, leaving the
+  /// scheme unchanged, on a bad row.
+  void patch(const graph::Graph& g, graph::PortAssignment ports,
+             std::span<const NodeId> nodes,
+             std::vector<bitio::BitVector> tables);
 
   [[nodiscard]] std::string name() const override { return "full-table"; }
   [[nodiscard]] model::Model routing_model() const override { return model_; }

@@ -17,80 +17,87 @@ using graph::NodeId;
 // ---- DynamicDistances -----------------------------------------------------
 
 DynamicDistances::DynamicDistances(const graph::Graph& g)
-    : n_(g.node_count()), d_(n_ * n_) {
-  graph::all_pairs_distances(g, d_);
-}
+    : d_(g), queue_(g.node_count()) {}
 
 bool DynamicDistances::connected() const noexcept {
-  return std::none_of(d_.begin(), d_.end(), [](std::uint32_t x) {
-    return x == graph::kUnreachable;
-  });
+  if (node_count() == 0) return true;
+  const auto row = d_.row(0);
+  return std::find(row.begin(), row.end(), graph::kUnreachable) == row.end();
 }
 
 DynamicDistances::Delta DynamicDistances::apply(const graph::Graph& g_new,
                                                 NodeId u, NodeId v, bool up,
                                                 double bfs_fallback_fraction) {
+  const std::size_t n = node_count();
   Delta delta;
+  std::vector<NodeId>& rows = delta.changed_rows;
   if (up) {
     // Exact single-edge insertion: a new shortest path crosses {u, v} at
-    // most once, so the min-plus patch against the OLD matrix is exact.
-    // Rows u and v are snapshotted first — they may themselves improve.
-    std::vector<std::uint32_t> old_du(n_), old_dv(n_);
-    for (NodeId t = 0; t < n_; ++t) {
-      old_du[t] = at(u, t);
-      old_dv[t] = at(v, t);
-    }
-    for (NodeId s = 0; s < n_; ++s) {
+    // most once, entering at the endpoint nearer to s, so the min-plus
+    // patch d(s,near)+1+d(far,t) against the OLD matrix is exact. When
+    // d(s,far) ≤ d(s,near)+1 that sum is at least d(s,far)+d(far,t) ≥
+    // d(s,t), so the row is skipped unread; every other row improves at
+    // t = far. Rows u and v are copied first — they may themselves improve.
+    const auto du = d_.row(u);
+    const auto dv = d_.row(v);
+    const std::vector<std::uint32_t> old_du(du.begin(), du.end());
+    const std::vector<std::uint32_t> old_dv(dv.begin(), dv.end());
+    for (NodeId s = 0; s < n; ++s) {
       const std::uint32_t dsu = old_du[s];  // symmetry: d(s, u) = d(u, s)
       const std::uint32_t dsv = old_dv[s];
-      bool changed = false;
-      std::uint32_t* row = d_.data() + static_cast<std::size_t>(s) * n_;
-      for (NodeId t = 0; t < n_; ++t) {
-        std::uint32_t best = row[t];
-        if (dsu != graph::kUnreachable && old_dv[t] != graph::kUnreachable) {
-          best = std::min(best, dsu + 1 + old_dv[t]);
-        }
-        if (dsv != graph::kUnreachable && old_du[t] != graph::kUnreachable) {
-          best = std::min(best, dsv + 1 + old_du[t]);
-        }
-        if (best < row[t]) {
-          row[t] = best;
-          changed = true;
+      const std::uint32_t d_near = std::min(dsu, dsv);
+      const std::uint32_t d_far = std::max(dsu, dsv);
+      if (d_near == graph::kUnreachable ||
+          (d_far != graph::kUnreachable && d_far <= d_near + 1)) {
+        continue;
+      }
+      const std::vector<std::uint32_t>& far_row = dsu < dsv ? old_dv : old_du;
+      const auto row = d_.mutable_row(s);
+      for (NodeId t = 0; t < n; ++t) {
+        if (far_row[t] != graph::kUnreachable) {
+          row[t] = std::min(row[t], d_near + 1 + far_row[t]);
         }
       }
-      if (changed) delta.changed_rows.push_back(s);
+      rows.push_back(s);
     }
-    delta.rows_patched = delta.changed_rows.size();
+    delta.rows_patched = rows.size();
     return delta;
   }
 
-  // Deletion: a source loses a shortest path only if {u, v} was on its
-  // shortest-path DAG, i.e. the endpoints sat on consecutive BFS levels.
-  std::vector<NodeId> candidates;
-  for (NodeId s = 0; s < n_; ++s) {
-    const std::uint32_t dsu = at(s, u);
-    const std::uint32_t dsv = at(s, v);
-    if (dsu == graph::kUnreachable || dsv == graph::kUnreachable) continue;
-    if (dsu + 1 == dsv || dsv + 1 == dsu) candidates.push_back(s);
-  }
-  if (static_cast<double>(candidates.size()) >
-      bfs_fallback_fraction * static_cast<double>(n_)) {
-    graph::all_pairs_distances(g_new, d_);
-    for (NodeId s = 0; s < n_; ++s) {
-      delta.changed_rows.push_back(s);  // conservative: report every row
+  // Deletion: row s changes iff the deeper endpoint `far` loses its only
+  // BFS parent. Its other candidate parents are its live neighbours in
+  // g_new, which no longer lists the deleted edge; d(s, w) = d(w, s) reads
+  // row w of the OLD matrix, so every test runs before any row is
+  // rewritten.
+  const auto du = d_.row(u);
+  const auto dv = d_.row(v);
+  for (NodeId s = 0; s < n; ++s) {
+    NodeId far;
+    if (du[s] != graph::kUnreachable && du[s] + 1 == dv[s]) {
+      far = v;
+    } else if (dv[s] != graph::kUnreachable && dv[s] + 1 == du[s]) {
+      far = u;
+    } else {
+      continue;
     }
-    delta.rows_bfs = n_;
+    const std::uint32_t parent_level = std::min(du[s], dv[s]);
+    const auto nbrs = g_new.neighbors(far);
+    if (std::none_of(nbrs.begin(), nbrs.end(), [&](NodeId w) {
+          return d_.at(w, s) == parent_level;
+        })) {
+      rows.push_back(s);
+    }
+  }
+  if (static_cast<double>(rows.size()) >
+      bfs_fallback_fraction * static_cast<double>(n)) {
+    d_.recompute(g_new);
+    delta.rows_bfs = n;
     return delta;
   }
-  for (NodeId s : candidates) {
-    const auto row = graph::bfs_distances(g_new, s);
-    std::uint32_t* dst = d_.data() + static_cast<std::size_t>(s) * n_;
-    if (!std::equal(row.begin(), row.end(), dst)) {
-      std::copy(row.begin(), row.end(), dst);
-      delta.changed_rows.push_back(s);
-    }
+  for (NodeId s : rows) {
+    graph::bfs_distances_into(g_new, s, d_.mutable_row(s), queue_);
   }
-  delta.rows_bfs = candidates.size();
+  delta.rows_bfs = rows.size();
   return delta;
 }
 
@@ -103,21 +110,9 @@ RepairableBase::RepairableBase(const graph::Graph& base,
 void RepairableBase::toggle_edge(const model::TopologyEvent& event) {
   if (event.up) {
     live_.add_edge(event.u, event.v);
-    return;
+  } else {
+    live_.remove_edge(event.u, event.v);
   }
-  // Graph has no remove_edge; rebuild minus the link (churn topologies are
-  // bench/test scale, and the n² bitmap rebuild is far below one BFS row
-  // sweep).
-  graph::Graph next(live_.node_count());
-  for (NodeId a = 0; a < live_.node_count(); ++a) {
-    for (NodeId b : live_.neighbors(a)) {
-      if (a < b && !(std::min(a, b) == std::min(event.u, event.v) &&
-                     std::max(a, b) == std::max(event.u, event.v))) {
-        next.add_edge(a, b);
-      }
-    }
-  }
-  live_ = std::move(next);
 }
 
 namespace {
@@ -146,25 +141,19 @@ RepairableFullTable::RepairableFullTable(const graph::Graph& base,
     : RepairableBase(base, config),
       dist_(base),
       identity_(graph::Labeling::identity(base.node_count())) {
-  tables_.resize(live_.node_count());
-  const graph::DistanceMatrix dist = dist_.snapshot();
-  const auto ports = graph::PortAssignment::sorted(live_);
-  for (NodeId u = 0; u < live_.node_count(); ++u) {
-    rebuild_table(u, dist, ports);
+  rebuild_all();
+}
+
+void RepairableFullTable::rebuild_all() {
+  const std::size_t n = live_.node_count();
+  auto ports = graph::PortAssignment::sorted(live_);
+  std::vector<bitio::BitVector> tables(n);
+  for (NodeId u = 0; u < n; ++u) {
+    tables[u] =
+        full_table_node_bits(live_, dist_.matrix(), ports, identity_, u);
   }
-  materialize();
-}
-
-void RepairableFullTable::rebuild_table(NodeId u,
-                                        const graph::DistanceMatrix& dist,
-                                        const graph::PortAssignment& ports) {
-  tables_[u] = full_table_node_bits(live_, dist, ports, identity_, u);
-}
-
-void RepairableFullTable::materialize() {
   scheme_ = std::make_unique<FullTableScheme>(
-      live_, graph::PortAssignment::sorted(live_), identity_, model::kIAalpha,
-      tables_);
+      live_, std::move(ports), identity_, model::kIAalpha, std::move(tables));
 }
 
 model::RepairOutcome RepairableFullTable::apply_event(
@@ -175,11 +164,8 @@ model::RepairOutcome RepairableFullTable::apply_event(
   if (config_.force_rebuild) {
     dist_ = DynamicDistances(live_);
     stats_.dist_rows_bfs += n;
-    const graph::DistanceMatrix dist = dist_.snapshot();
-    const auto ports = graph::PortAssignment::sorted(live_);
-    for (NodeId u = 0; u < n; ++u) rebuild_table(u, dist, ports);
+    rebuild_all();
     stats_.tables_touched += n;
-    materialize();
     ++stats_.rebuilt;
     return model::RepairOutcome::kRebuilt;
   }
@@ -190,24 +176,25 @@ model::RepairOutcome RepairableFullTable::apply_event(
   // Entry (s, t) reads d(s, ·), d(w, ·) for w ∈ N(s), and s's port
   // numbering — dirty is the endpoints plus changed rows plus their live
   // neighbourhoods.
-  std::vector<NodeId> dirty = close_over_neighbors(
+  const std::vector<NodeId> dirty = close_over_neighbors(
       live_, {event.u, event.v}, delta.changed_rows);
-  const graph::DistanceMatrix dist = dist_.snapshot();
-  const auto ports = graph::PortAssignment::sorted(live_);
-  const bool full = static_cast<double>(dirty.size()) >
-                    config_.rebuild_fraction * static_cast<double>(n);
-  if (full) {
-    for (NodeId u = 0; u < n; ++u) rebuild_table(u, dist, ports);
+  if (static_cast<double>(dirty.size()) >
+      config_.rebuild_fraction * static_cast<double>(n)) {
+    rebuild_all();
     stats_.tables_touched += n;
     ++stats_.rebuilt;
-  } else {
-    for (NodeId u : dirty) rebuild_table(u, dist, ports);
-    stats_.tables_touched += dirty.size();
-    ++stats_.patched;
+    return model::RepairOutcome::kRebuilt;
   }
-  materialize();
-  return full ? model::RepairOutcome::kRebuilt
-              : model::RepairOutcome::kPatched;
+  auto ports = graph::PortAssignment::sorted(live_);
+  std::vector<bitio::BitVector> tables(dirty.size());
+  for (std::size_t i = 0; i < dirty.size(); ++i) {
+    tables[i] =
+        full_table_node_bits(live_, dist_.matrix(), ports, identity_, dirty[i]);
+  }
+  scheme_->patch(live_, std::move(ports), dirty, std::move(tables));
+  stats_.tables_touched += dirty.size();
+  ++stats_.patched;
+  return model::RepairOutcome::kPatched;
 }
 
 // ---- compact-diam2 --------------------------------------------------------
@@ -307,7 +294,7 @@ RepairableTz::RepairableTz(const graph::Graph& base, TzOptions options,
   if (!dist_.connected()) {
     throw SchemeInapplicable("RepairableTz: base graph disconnected");
   }
-  const graph::DistanceMatrix dist = dist_.snapshot();
+  const graph::DistanceMatrix& dist = dist_.matrix();
   landmarks_ = tz_sample_landmarks(live_, dist, options_);
   rebuild_all(dist);
   materialize(dist);
@@ -344,7 +331,7 @@ model::RepairOutcome RepairableTz::apply_event(
       ++stats_.inapplicable;
       return model::RepairOutcome::kInapplicable;
     }
-    const graph::DistanceMatrix dist = dist_.snapshot();
+    const graph::DistanceMatrix& dist = dist_.matrix();
     landmarks_ = tz_sample_landmarks(live_, dist, options_);
     rebuild_all(dist);
     materialize(dist);
@@ -362,7 +349,7 @@ model::RepairOutcome RepairableTz::apply_event(
     ++stats_.inapplicable;
     return model::RepairOutcome::kInapplicable;
   }
-  const graph::DistanceMatrix dist = dist_.snapshot();
+  const graph::DistanceMatrix& dist = dist_.matrix();
   // Replay the seeded election against the patched matrix — the same
   // draws a fresh build on this topology would make. A changed electorate
   // (or recovery from a stale period) rebuilds every table, but still

@@ -5,23 +5,32 @@
 // all-pairs distance matrix for unit-weight undirected graphs:
 //
 //   insert {u, v} — exact one-step min-plus patch against the OLD matrix,
-//       d'(s, t) = min(d(s,t), d(s,u)+1+d(v,t), d(s,v)+1+d(u,t)),
-//     sound because a new shortest path crosses the new edge at most once;
-//   delete {u, v} — only sources s with |d(s,u) − d(s,v)| == 1 can lose a
-//     shortest path (the edge lies on s's shortest-path DAG iff its
-//     endpoints sit on consecutive BFS levels); exactly those rows are
-//     re-run through BFS on the new graph, with a full-rebuild fallback
-//     when the candidate set exceeds a threshold. The candidate set is
-//     closed under "my row changed", so the patched matrix stays symmetric
-//     and exact.
+//       d'(s, t) = min(d(s,t), d(s,near)+1+d(far,t)),
+//     sound because a new shortest path crosses the new edge at most once
+//     (near is the endpoint closer to s). Rows with |d(s,u) − d(s,v)| ≤ 1
+//     are skipped unread: there d(s,near)+1 ≥ d(s,far), so the triangle
+//     inequality rules out any gain. Every other row improves at t = far.
+//   delete {u, v} — row s can change only if the endpoints sit on
+//     consecutive BFS levels of s; call far the deeper one. If far keeps
+//     another live neighbour w with d(s,w) = d(s,far) − 1, every shortest
+//     path through {u, v} reroutes through w and row s stays as it is;
+//     otherwise d(s,far) grows. By symmetry the test reads the rows of
+//     far's live neighbours. The candidates are then exactly the changed
+//     rows: each is re-run by BFS straight into its matrix row with one
+//     reused queue, or, when there are more than a threshold, every row is
+//     recomputed at once. Either way Delta::changed_rows is exact, and the
+//     set is symmetric (row s changes iff column s does), so the matrix
+//     stays symmetric and exact.
 //
 // On top of the maintained matrix, each repairable derives the *dirty set*
-// — the nodes whose serialized tables the event can change — rebuilds only
-// those tables through the same builders the fresh constructors use, and
-// re-materializes its scheme through the validating deserialization
-// constructors. That is why the differential oracle can demand
-// bit-identity: patched tables are produced by the identical code path a
-// fresh centralized build would take, just for fewer nodes.
+// — the nodes whose serialized tables the event can change — and rebuilds
+// only those tables through the same builders the fresh constructors use.
+// Full-table patches the dirty rows into its live FullTableScheme, which
+// re-checks only those rows; the others re-materialize their scheme through
+// the validating deserialization constructors. That is why the
+// differential oracle can demand bit-identity: patched tables are produced
+// by the identical code path a fresh centralized build would take, just
+// for fewer nodes.
 #pragma once
 
 #include <memory>
@@ -40,8 +49,9 @@
 namespace optrt::schemes {
 
 /// Incrementally maintained all-pairs distances. apply() mutates the
-/// matrix for one link delta and reports which rows changed plus the
-/// deterministic work spent (rows patched vs rows re-BFS'd).
+/// matrix in place for one link delta and reports exactly which rows
+/// changed plus the deterministic work spent (rows patched vs rows
+/// re-BFS'd).
 class DynamicDistances {
  public:
   /// `g` must be the topology the matrix describes *after* every apply()
@@ -56,27 +66,27 @@ class DynamicDistances {
   };
 
   /// Folds one link delta in. `g_new` is the graph *including* the change.
-  /// `bfs_fallback_fraction`: when a delete's candidate row count exceeds
-  /// this fraction of n, recompute every row instead (still exact; the
-  /// Delta then lists every row as changed conservatively).
+  /// `bfs_fallback_fraction`: when a delete changes more than this
+  /// fraction of the n rows, recompute every row at once instead of one
+  /// BFS per changed row (changed_rows stays exact either way).
   Delta apply(const graph::Graph& g_new, graph::NodeId u, graph::NodeId v,
               bool up, double bfs_fallback_fraction = 1.0);
 
-  [[nodiscard]] std::uint32_t at(graph::NodeId u,
-                                 graph::NodeId v) const noexcept {
-    return d_[static_cast<std::size_t>(u) * n_ + v];
+  [[nodiscard]] std::size_t node_count() const noexcept {
+    return d_.node_count();
   }
-  [[nodiscard]] std::size_t node_count() const noexcept { return n_; }
+  /// Reads row 0 only: the matrix is symmetric, so every node is connected
+  /// to every other iff each is reachable from node 0.
   [[nodiscard]] bool connected() const noexcept;
 
-  /// Copies the current matrix into the shape the scheme builders consume.
-  [[nodiscard]] graph::DistanceMatrix snapshot() const {
-    return {n_, d_};
+  /// The maintained matrix, in the shape the scheme builders consume.
+  [[nodiscard]] const graph::DistanceMatrix& matrix() const noexcept {
+    return d_;
   }
 
  private:
-  std::size_t n_;
-  std::vector<std::uint32_t> d_;
+  graph::DistanceMatrix d_;
+  std::vector<graph::NodeId> queue_;  // BFS scratch, n entries
 };
 
 /// Common bookkeeping shared by the three repairables.
@@ -104,8 +114,10 @@ class RepairableBase : public model::RepairableScheme {
 
 /// Full-table repair: entry (s, t) depends on N(s), d(s, ·) and d(w, ·)
 /// for w ∈ N(s), so dirty = {u, v} ∪ changed rows ∪ their live
-/// neighbourhoods. Works on disconnected topologies (unreachable entries
-/// store port 0, like the fresh builder).
+/// neighbourhoods. The dirty tables are patched into the one live
+/// FullTableScheme, which holds the only copy of the tables. Works on
+/// disconnected topologies (unreachable entries store port 0, like the
+/// fresh builder).
 class RepairableFullTable final : public RepairableBase {
  public:
   explicit RepairableFullTable(const graph::Graph& base,
@@ -118,13 +130,11 @@ class RepairableFullTable final : public RepairableBase {
   model::RepairOutcome apply_event(const model::TopologyEvent& event) override;
 
  private:
-  void rebuild_table(graph::NodeId u, const graph::DistanceMatrix& dist,
-                     const graph::PortAssignment& ports);
-  void materialize();
+  /// Builds every table from dist_ through the validating constructor.
+  void rebuild_all();
 
   DynamicDistances dist_;
   graph::Labeling identity_;  // churn never renames nodes
-  std::vector<bitio::BitVector> tables_;
   std::unique_ptr<FullTableScheme> scheme_;
 };
 

@@ -12,6 +12,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -120,22 +121,30 @@ Server::~Server() {
 
 void Server::bind() {
   if (!config_.unix_path.empty()) {
+    // The socket file must appear only once it accepts connections: a
+    // client that polls for the path would otherwise be refused between
+    // bind and listen. So bind a sibling temporary name, listen, then
+    // rename it over the real path (which also replaces a stale socket
+    // from a prior run).
+    const std::string tmp_path =
+        config_.unix_path + "." + std::to_string(::getpid()) + ".tmp";
     struct sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
-    if (config_.unix_path.size() >= sizeof(addr.sun_path)) {
+    if (tmp_path.size() >= sizeof(addr.sun_path)) {
       throw std::runtime_error("unix socket path too long: " +
                                config_.unix_path);
     }
-    std::strncpy(addr.sun_path, config_.unix_path.c_str(),
-                 sizeof(addr.sun_path) - 1);
+    std::strncpy(addr.sun_path, tmp_path.c_str(), sizeof(addr.sun_path) - 1);
     const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
     if (fd < 0) throw std::runtime_error("socket(AF_UNIX) failed");
-    ::unlink(config_.unix_path.c_str());  // stale socket from a prior run
-    if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) !=
-            0 ||
-        ::listen(fd, 128) != 0) {
+    ::unlink(tmp_path.c_str());
+    const bool bound = ::bind(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                              sizeof(addr)) == 0;
+    if (!bound || ::listen(fd, 128) != 0 ||
+        ::rename(tmp_path.c_str(), config_.unix_path.c_str()) != 0) {
       const int err = errno;
       ::close(fd);
+      if (bound) ::unlink(tmp_path.c_str());
       throw std::runtime_error("cannot listen on " + config_.unix_path + ": " +
                                std::strerror(err));
     }

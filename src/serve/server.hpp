@@ -62,8 +62,10 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Creates and binds the configured listeners. Throws std::runtime_error
-  /// on bind failure. Call once, before run().
+  /// Creates and binds the configured listeners. A Unix listener's path
+  /// appears only once it is listening (it is bound under a temporary
+  /// sibling name, which must also fit sockaddr_un, then renamed). Throws
+  /// std::runtime_error on bind failure. Call once, before run().
   void bind();
 
   /// Resolved TCP port after bind() (useful with tcp_port = 0); -1 when

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -271,33 +272,100 @@ TEST(AllPairsDistances, RejectsAWrongOutputSize) {
   EXPECT_THROW(all_pairs_distances(chain(4), out), std::invalid_argument);
 }
 
+/// The rows on which two n×n matrices differ, in increasing order.
+std::vector<NodeId> differing_rows(const DistanceMatrix& a,
+                                   const DistanceMatrix& b) {
+  std::vector<NodeId> rows;
+  for (NodeId u = 0; u < a.node_count(); ++u) {
+    const auto ra = a.row(u);
+    const auto rb = b.row(u);
+    if (!std::equal(ra.begin(), ra.end(), rb.begin())) rows.push_back(u);
+  }
+  return rows;
+}
+
+/// Element-by-element equality of the maintained and a fresh matrix.
+bool same_matrix(const schemes::DynamicDistances& dyn,
+                 const DistanceMatrix& fresh) {
+  return differing_rows(dyn.matrix(), fresh).empty();
+}
+
 TEST(AllPairsDistances, DynamicDistancesMatchesDistanceMatrix) {
   Rng rng(33);
   const Graph g = barabasi_albert(150, 2, rng);
   const schemes::DynamicDistances dyn(g);
-  const DistanceMatrix fresh(g);
-  for (NodeId u = 0; u < 150; ++u) {
-    for (NodeId v = 0; v < 150; ++v) ASSERT_EQ(dyn.at(u, v), fresh.at(u, v));
-  }
+  EXPECT_TRUE(same_matrix(dyn, DistanceMatrix(g)));
 }
 
 TEST(AllPairsDistances, DynamicDistancesAllRowsFallbackMatches) {
   // A fallback fraction of 0 sends every deletion through the all-rows
-  // recompute.
+  // recompute; changed_rows must still name exactly the rows that differ.
   const Graph before = TopologyFamily::grid().make(120, 0);
   schemes::DynamicDistances dyn(before);
-  Graph after(before.node_count());
-  for (NodeId u = 0; u < before.node_count(); ++u) {
-    for (NodeId v : before.neighbors(u)) {
-      if (u < v && !(u == 0 && v == 1)) after.add_edge(u, v);
-    }
-  }
+  Graph after = before;
+  after.remove_edge(0, 1);
   const auto delta = dyn.apply(after, 0, 1, /*up=*/false, 0.0);
   EXPECT_EQ(delta.rows_bfs, 120u);
-  EXPECT_EQ(delta.changed_rows.size(), 120u);
   const DistanceMatrix fresh(after);
-  for (NodeId u = 0; u < 120; ++u) {
-    for (NodeId v = 0; v < 120; ++v) ASSERT_EQ(dyn.at(u, v), fresh.at(u, v));
+  EXPECT_EQ(delta.changed_rows, differing_rows(DistanceMatrix(before), fresh));
+  EXPECT_FALSE(delta.changed_rows.empty());
+  EXPECT_TRUE(same_matrix(dyn, fresh));
+}
+
+TEST(AllPairsDistances, DynamicDistancesMatchAFreshMatrixAfterEveryDelta) {
+  // Seeded random deletions and insertions, disconnecting and reconnecting
+  // the graph along the way, through the per-row path (fraction 1), the
+  // all-rows fallback (fraction 0) and a mix (0.5). After every apply the
+  // matrix must equal a fresh one element by element, and changed_rows
+  // must be exactly the rows that differ from the previous fresh matrix.
+  for (const char* family : {"grid", "ring", "ba:1", "ba:2", "uniform"}) {
+    for (const std::size_t n : {2u, 64u, 130u}) {
+      for (const double fraction : {0.0, 0.5, 1.0}) {
+        SCOPED_TRACE(std::string(family) + " n=" + std::to_string(n) +
+                     " fraction=" + std::to_string(fraction));
+        // ring needs n ≥ 3; on two nodes every family is the one edge.
+        Graph g = n == 2 ? chain(2) : TopologyFamily::parse(family).make(n, 7);
+        schemes::DynamicDistances dyn(g);
+        DistanceMatrix before(g);
+        Rng rng(n * 1000 + static_cast<std::uint64_t>(fraction * 10));
+        std::uniform_int_distribution<NodeId> node(
+            0, static_cast<NodeId>(n - 1));
+        std::size_t deletions = 0;
+        std::size_t insertions = 0;
+        for (int step = 0; step < 60; ++step) {
+          NodeId u = 0;
+          NodeId v = 0;
+          if (rng() % 2 == 0 && g.edge_count() > 0) {
+            do {
+              u = node(rng);
+            } while (g.degree(u) == 0);
+            v = g.neighbors(u)[rng() % g.degree(u)];
+          } else {
+            do {
+              u = node(rng);
+              v = node(rng);
+            } while (u == v);
+          }
+          const bool up = !g.has_edge(u, v);
+          if (up) {
+            g.add_edge(u, v);
+            ++insertions;
+          } else {
+            g.remove_edge(u, v);
+            ++deletions;
+          }
+          const auto delta = dyn.apply(g, u, v, up, fraction);
+          DistanceMatrix after(g);
+          ASSERT_TRUE(same_matrix(dyn, after)) << "step " << step;
+          ASSERT_EQ(delta.changed_rows, differing_rows(before, after))
+              << "step " << step << (up ? " insert " : " delete ") << u
+              << "-" << v;
+          before = std::move(after);
+        }
+        EXPECT_GT(deletions, 10u);
+        EXPECT_GT(insertions, 10u);
+      }
+    }
   }
 }
 

@@ -228,6 +228,27 @@ TEST(ChurnOracle, SingleEventRepairsAreExact) {
   }
 }
 
+TEST(ChurnOracle, GridDeletionPatchesOnlyTheDirtyTables) {
+  // On a bipartite grid every source sees the two endpoints of any link on
+  // consecutive BFS levels, yet only the sources whose deeper endpoint had
+  // the link as its one shortest-path parent change. A full-table repair
+  // of one deletion must therefore patch, touching fewer than n tables
+  // and re-running fewer than n distance rows, and still match a fresh
+  // build.
+  const Graph g = TopologyFamily::grid().make(256, 0);
+  const std::size_t n = g.node_count();
+  auto rs = schemes::make_repairable("full-table", g, 1);
+  const NodeId a = 7 * 16 + 7;  // an interior link of the 16×16 grid
+  ASSERT_TRUE(g.has_edge(a, a + 1));
+  EXPECT_EQ(rs->apply_event({a, a + 1, false}),
+            model::RepairOutcome::kPatched);
+  EXPECT_LT(rs->stats().tables_touched, n);
+  EXPECT_LT(rs->stats().dist_rows_bfs, n);
+  EXPECT_EQ(rs->stats().rebuilt, 0u);
+  const schemes::RepairMatch m = schemes::repaired_matches_fresh(*rs);
+  EXPECT_TRUE(m.match) << m.detail;
+}
+
 // --- Staleness ------------------------------------------------------------
 
 TEST(ChurnSession, RepairLagWidensTheStalenessWindow) {

@@ -2,6 +2,10 @@
 // and generators including the Theorem 9 graph G_B.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "graph/algorithms.hpp"
 #include "graph/encoding.hpp"
 #include "graph/generators.hpp"
@@ -57,6 +61,48 @@ TEST(Graph, RowWordsMatchHasEdge) {
       EXPECT_EQ(bit, g.has_edge(u, v));
     }
   }
+}
+
+TEST(Graph, RemoveEdgeEqualsARebuildWithoutIt) {
+  Rng rng(5);
+  Graph g = random_gnp(100, 0.3, rng);
+  // Remove a spread of edges (first, last, and across the 64-bit word
+  // boundary of the matrix rows); after each, g must equal the graph
+  // rebuilt from scratch without the removed edges, bits included.
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId u = 0; u < 100; ++u) {
+    for (NodeId v : g.neighbors(u)) {
+      if (u < v) edges.emplace_back(u, v);
+    }
+  }
+  std::vector<bool> removed(edges.size(), false);
+  for (const std::size_t i : {std::size_t{0}, edges.size() - 1,
+                              edges.size() / 3, edges.size() / 2}) {
+    const auto [u, v] = edges[i];
+    g.remove_edge(v, u);  // either endpoint order
+    removed[i] = true;
+    Graph rebuilt(100);
+    for (std::size_t j = 0; j < edges.size(); ++j) {
+      if (!removed[j]) rebuilt.add_edge(edges[j].first, edges[j].second);
+    }
+    EXPECT_EQ(g, rebuilt);
+    EXPECT_EQ(g.edge_count(), rebuilt.edge_count());
+    EXPECT_FALSE(g.has_edge(u, v));
+    EXPECT_FALSE(g.has_edge(v, u));
+    for (NodeId w = 0; w < 100; ++w) {
+      const auto a = g.row_words(w);
+      const auto b = rebuilt.row_words(w);
+      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin())) << "row " << w;
+    }
+  }
+  // Re-adding restores the edge; removing a removed edge, a self-loop or
+  // an out-of-range pair throws.
+  g.add_edge(edges[0].first, edges[0].second);
+  EXPECT_TRUE(g.has_edge(edges[0].first, edges[0].second));
+  EXPECT_THROW(g.remove_edge(edges.back().first, edges.back().second),
+               std::invalid_argument);
+  EXPECT_THROW(g.remove_edge(0, 100), std::invalid_argument);
+  EXPECT_THROW(g.remove_edge(7, 7), std::invalid_argument);
 }
 
 TEST(Graph, MinMaxDegree) {

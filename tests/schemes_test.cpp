@@ -143,6 +143,48 @@ TEST(FullTable, ShortestPathOnChainGridRing) {
   }
 }
 
+TEST(FullTable, PatchRewritesTheGivenRowsAndRejectsBadOnes) {
+  // Patching the rows that differ after a link deletion yields the fresh
+  // build's tables; a row of the wrong length or with a port at or above
+  // the degree is rejected and leaves the scheme as it was.
+  const Graph g = graph::grid(4, 5);
+  Graph h = g;
+  h.remove_edge(6, 7);
+  FullTableScheme scheme = FullTableScheme::standard(g);
+  const FullTableScheme fresh = FullTableScheme::standard(h);
+  std::vector<graph::NodeId> rows;
+  std::vector<bitio::BitVector> tables;
+  for (graph::NodeId u = 0; u < 20; ++u) {
+    if (!(scheme.function_bits(u) == fresh.function_bits(u))) {
+      rows.push_back(u);
+      tables.push_back(fresh.function_bits(u));
+    }
+  }
+  ASSERT_FALSE(rows.empty());
+  const graph::NodeId bad_node = rows.front();
+  const bitio::BitVector before = scheme.function_bits(bad_node);
+  const bitio::BitVector short_row(tables.front().size() - 1);
+  EXPECT_THROW(scheme.patch(h, graph::PortAssignment::sorted(h),
+                            std::vector<graph::NodeId>{bad_node}, {short_row}),
+               std::invalid_argument);
+  // Node 5 keeps degree 3 (2-bit entries): port 3 is out of range.
+  bitio::BitVector port3 = fresh.function_bits(5);
+  port3.set(0, true);
+  port3.set(1, true);
+  EXPECT_THROW(scheme.patch(h, graph::PortAssignment::sorted(h),
+                            std::vector<graph::NodeId>{5}, {port3}),
+               std::invalid_argument);
+  EXPECT_TRUE(scheme.function_bits(bad_node) == before);
+
+  scheme.patch(h, graph::PortAssignment::sorted(h), rows, std::move(tables));
+  for (graph::NodeId u = 0; u < 20; ++u) {
+    EXPECT_TRUE(scheme.function_bits(u) == fresh.function_bits(u)) << u;
+  }
+  const auto result = verify_scheme(h, scheme);
+  EXPECT_TRUE(result.ok());
+  EXPECT_DOUBLE_EQ(result.max_stretch, 1.0);
+}
+
 TEST(FullTable, WorksUnderAdversarialPortsAndPermutedLabels) {
   Rng rng(9);
   const Graph g = graph::random_gnp(40, 0.3, rng);

@@ -369,6 +369,36 @@ TEST(ServeServer, PingListAndTypedRequestErrors) {
   client.ping();  // the connection survived every typed error
 }
 
+TEST(ServeServer, UnixSocketPathAppearsOnlyOnceListening) {
+  // bind() listens on a temporary sibling name and renames it into place,
+  // so a client that waits for the path can connect at once. A stale file
+  // at the path is replaced, no temporary is left behind, and the length
+  // limit applies to the temporary name.
+  TempDir dir;
+  serve::ArtifactStore store(dir.str());
+  const std::string sock = dir.file("optrtd.sock");
+  std::ofstream(sock) << "stale";
+  serve::ServerConfig config;
+  config.unix_path = sock;
+  {
+    serve::Server server(store, config);
+    server.bind();
+    EXPECT_TRUE(std::filesystem::is_socket(sock));
+    const auto entries = std::distance(
+        std::filesystem::directory_iterator(dir.path),
+        std::filesystem::directory_iterator{});
+    EXPECT_EQ(entries, 1);
+    // Listening already: the connection waits in the backlog.
+    serve::Client client = serve::Client::connect_unix(sock);
+  }
+  EXPECT_FALSE(std::filesystem::exists(sock));  // the destructor unlinks it
+
+  config.unix_path = dir.file(std::string(105 - dir.str().size() - 1, 'x'));
+  ASSERT_EQ(config.unix_path.size(), 105u);
+  serve::Server server(store, config);
+  EXPECT_THROW(server.bind(), std::runtime_error);
+}
+
 // ---- Hot reload under live traffic ---------------------------------------
 
 TEST(ServeServer, HotReloadMidStreamDropsNothing) {

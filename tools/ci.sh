@@ -28,7 +28,7 @@ SANITIZED_TARGETS=(parallel_test distance_cache_test verifier_test
   serialization_test chaos_test fuzz_test fastpath_test rank_select_test
   serve_test serve_chaos_test topology_test tz_test congest_test
   congest_chaos_test churn_test churn_chaos_test simulator_test
-  landmark_test schemes_test algorithms_test)
+  landmark_test schemes_test algorithms_test graph_test)
 
 for stage in "${STAGES[@]}"; do
   echo "=== [$stage] configure ==="
@@ -42,6 +42,13 @@ for stage in "${STAGES[@]}"; do
   echo "=== [$stage] test ==="
   ctest --preset "$stage"
   if [ "$stage" = default ]; then
+    # The churn repair oracle and chaos sweep again at fixed pool sizes:
+    # every quiesce point must certify whatever the thread count.
+    for threads in 1 2 8; do
+      echo "=== [$stage] churn suites, OPTRT_THREADS=$threads ==="
+      OPTRT_THREADS=$threads ./build/tests/churn_test
+      OPTRT_THREADS=$threads ./build/tests/churn_chaos_test
+    done
     # Smoke-run the lookup benchmark: the compiled fast paths must stay
     # bit-identical to the decode path (nonzero exit on divergence).
     echo "=== [$stage] bench_lookup --smoke ==="
