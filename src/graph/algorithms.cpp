@@ -177,13 +177,6 @@ DistanceMatrix::DistanceMatrix(const Graph& g)
   all_pairs_distances(g, {d_.get(), n_ * n_});
 }
 
-void DistanceMatrix::recompute(const Graph& g) {
-  if (g.node_count() != n_) {
-    throw std::invalid_argument("DistanceMatrix::recompute: node count");
-  }
-  all_pairs_distances(g, {d_.get(), n_ * n_});
-}
-
 std::uint32_t DistanceMatrix::diameter() const noexcept {
   std::uint32_t best = 0;
   for (std::uint32_t x : entries()) {

@@ -76,15 +76,12 @@ class DistanceMatrix {
   }
   [[nodiscard]] std::size_t node_count() const noexcept { return n_; }
 
-  /// In-place maintenance for an incremental updater
+  /// Row u for in-place maintenance by an incremental updater
   /// (schemes::DynamicDistances), which keeps the matrix exact and
-  /// symmetric itself. mutable_row(u) is row u; recompute(g) re-runs
-  /// all_pairs_distances for `g` over the existing storage and throws
-  /// std::invalid_argument if g has a different node count.
+  /// symmetric itself.
   [[nodiscard]] std::span<std::uint32_t> mutable_row(NodeId u) noexcept {
     return {d_.get() + static_cast<std::size_t>(u) * n_, n_};
   }
-  void recompute(const Graph& g);
 
   /// Max finite distance; kUnreachable if the graph is disconnected,
   /// 0 for graphs with < 2 nodes.

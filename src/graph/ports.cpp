@@ -1,6 +1,7 @@
 #include "graph/ports.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 namespace optrt::graph {
@@ -49,6 +50,14 @@ PortAssignment PortAssignment::sorted(const Graph& g) {
     ports[u].assign(nbrs.begin(), nbrs.end());
   }
   return from_port_maps(g, std::move(ports));
+}
+
+void PortAssignment::resort(const Graph& g, NodeId u) {
+  const auto nbrs = g.neighbors(u);
+  port_to_neighbor_[u].assign(nbrs.begin(), nbrs.end());
+  sorted_neighbors_[u].assign(nbrs.begin(), nbrs.end());
+  rank_to_port_[u].resize(nbrs.size());
+  std::iota(rank_to_port_[u].begin(), rank_to_port_[u].end(), PortId{0});
 }
 
 PortAssignment PortAssignment::random(const Graph& g, Rng& rng) {

@@ -28,6 +28,12 @@ class PortAssignment {
   /// and the Theorem 8 adversary.
   [[nodiscard]] static PortAssignment random(const Graph& g, Rng& rng);
 
+  /// Gives node `u` the canonical order of its neighbours in `g` (port i ↦
+  /// i-th least neighbour), leaving every other node as it is. After a
+  /// link change, re-sorting its two endpoints turns sorted(old graph)
+  /// into sorted(new graph) in O(deg) instead of a rebuild over all nodes.
+  void resort(const Graph& g, NodeId u);
+
   /// Builds from explicit port → neighbour permutations (one vector per
   /// node, a permutation of its neighbour list). Throws if any vector is
   /// not a permutation of the node's neighbours.
@@ -60,6 +66,9 @@ class PortAssignment {
   [[nodiscard]] PortId port_of_rank(NodeId u, std::size_t rank) const noexcept {
     return rank_to_port_[u][rank];
   }
+
+  friend bool operator==(const PortAssignment&,
+                         const PortAssignment&) = default;
 
  private:
   PortAssignment() = default;

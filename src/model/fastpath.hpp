@@ -187,6 +187,11 @@ class PackedSparseArray {
   [[nodiscard]] std::size_t member_count() const noexcept {
     return mask_.ones();
   }
+  /// Position of the k-th member in increasing order. Precondition:
+  /// k < member_count().
+  [[nodiscard]] std::size_t member(std::size_t k) const {
+    return mask_.select1(k);
+  }
 
  private:
   bitio::RankSelect mask_;

@@ -7,8 +7,8 @@
 // balls), falling back to a full rebuild when the dirty set exceeds a
 // threshold. The contract the churn differential oracle enforces: after
 // every applied event, scheme() must equal a fresh centralized build on
-// topology() — bit-identical tables for the deterministic schemes,
-// identical full-pair-space route fingerprints for TZ.
+// topology() — bit-identical tables for every scheme, plus the same
+// landmarks and identical full-pair-space route fingerprints for TZ.
 //
 // This header is deliberately net-free (model must not depend on net): a
 // TopologyEvent is a single undirected link-liveness delta, and the
@@ -55,7 +55,9 @@ struct RepairStats {
   std::uint64_t rebuilt = 0;
   std::uint64_t inapplicable = 0;
   std::uint64_t tables_touched = 0;     ///< per-node tables rebuilt
-  std::uint64_t dist_rows_bfs = 0;      ///< distance rows recomputed by BFS
+  /// Distance rows repaired by search: a deletion's per-row
+  /// affected-region repair, or every row under force_rebuild.
+  std::uint64_t dist_rows_bfs = 0;
   std::uint64_t dist_rows_patched = 0;  ///< distance rows fixed by min-plus
 
   /// The scalar the bench compares incremental repair against full

@@ -2,13 +2,14 @@
 
 namespace optrt::net {
 
-void write_stats_fields(obs::JsonWriter& w, const SimulationStats& stats) {
+void write_stats_fields(obs::JsonWriter& w, const SimulationStats& stats,
+                        bool stretch) {
   w.key("sent").value(stats.sent);
   w.key("delivered").value(stats.delivered);
   w.key("dropped").value(stats.dropped);
   w.key("delivery_rate").value(stats.delivery_rate());
   w.key("mean_hops").value(stats.mean_hops());
-  w.key("mean_stretch").value(stats.mean_stretch());
+  if (stretch) w.key("mean_stretch").value(stats.mean_stretch());
   w.key("total_hops").value(stats.total_hops);
   w.key("makespan").value(stats.makespan);
   w.key("max_link_load").value(stats.max_link_load);

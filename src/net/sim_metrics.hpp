@@ -14,8 +14,11 @@ namespace optrt::net {
 ///   sent, delivered, dropped, delivery_rate, mean_hops, mean_stretch,
 ///   total_hops, makespan, max_link_load, retries, deflections, fallbacks
 /// (exact key order — regression-pinned). The caller owns the enclosing
-/// begin_object()/end_object().
-void write_stats_fields(obs::JsonWriter& w, const SimulationStats& stats);
+/// begin_object()/end_object(). `stretch = false` leaves mean_stretch out,
+/// for runs that do not measure it (SimulatorConfig::measure_stretch off),
+/// where it would read 0.
+void write_stats_fields(obs::JsonWriter& w, const SimulationStats& stats,
+                        bool stretch = true);
 
 /// The stats block as a standalone JSON object.
 [[nodiscard]] std::string stats_json(const SimulationStats& stats);

@@ -1,5 +1,6 @@
 #include "schemes/full_table.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 #include <utility>
@@ -46,6 +47,25 @@ void check_table(const graph::Graph& g, NodeId u,
   }
 }
 
+/// One entry per destination *label*, so lookups index by label directly;
+/// `port_of_rank` maps u's first-hop rank to its port.
+template <class PortOfRank>
+bitio::BitVector node_bits(const graph::Graph& g,
+                           const graph::DistanceMatrix& dist,
+                           const graph::Labeling& labeling, NodeId u,
+                           PortOfRank port_of_rank) {
+  const std::size_t n = g.node_count();
+  const unsigned width = entry_width_at(g, u);
+  std::vector<std::uint32_t> ranks(n);
+  graph::first_hop_ranks(g, dist, u, ranks);
+  bitio::BitWriter w;
+  for (NodeId label = 0; label < n; ++label) {
+    const std::uint32_t rank = ranks[labeling.node_of(label)];
+    w.write_bits(rank == graph::kNoHop ? 0 : port_of_rank(rank), width);
+  }
+  return w.take();
+}
+
 }  // namespace
 
 bitio::BitVector full_table_node_bits(const graph::Graph& g,
@@ -53,18 +73,17 @@ bitio::BitVector full_table_node_bits(const graph::Graph& g,
                                       const graph::PortAssignment& ports,
                                       const graph::Labeling& labeling,
                                       NodeId u) {
-  const std::size_t n = g.node_count();
-  const unsigned width = entry_width_at(g, u);
-  std::vector<std::uint32_t> ranks(n);
-  graph::first_hop_ranks(g, dist, u, ranks);
-  bitio::BitWriter w;
-  // One entry per destination *label* so lookups index by label directly.
-  for (NodeId label = 0; label < n; ++label) {
-    const std::uint32_t rank = ranks[labeling.node_of(label)];
-    w.write_bits(rank == graph::kNoHop ? 0 : ports.port_of_rank(u, rank),
-                 width);
-  }
-  return w.take();
+  return node_bits(g, dist, labeling, u, [&](std::uint32_t rank) {
+    return ports.port_of_rank(u, rank);
+  });
+}
+
+bitio::BitVector full_table_node_bits(const graph::Graph& g,
+                                      const graph::DistanceMatrix& dist,
+                                      const graph::Labeling& labeling,
+                                      NodeId u) {
+  return node_bits(g, dist, labeling, u,
+                   [](std::uint32_t rank) { return rank; });
 }
 
 FullTableScheme::FullTableScheme(const graph::Graph& g,
@@ -106,24 +125,25 @@ FullTableScheme::FullTableScheme(const graph::Graph& g,
 }
 
 void FullTableScheme::patch(const graph::Graph& g,
-                            graph::PortAssignment ports,
+                            std::span<const NodeId> resorted,
                             std::span<const NodeId> nodes,
                             std::vector<bitio::BitVector> tables) {
-  if (g.node_count() != n_ || ports.node_count() != n_ ||
-      tables.size() != nodes.size()) {
+  if (g.node_count() != n_ || tables.size() != nodes.size()) {
     throw std::invalid_argument("FullTableScheme::patch: size mismatch");
   }
+  auto in_range = [&](NodeId u) { return u < n_; };
+  if (!std::all_of(nodes.begin(), nodes.end(), in_range) ||
+      !std::all_of(resorted.begin(), resorted.end(), in_range)) {
+    throw std::invalid_argument("FullTableScheme::patch: node out of range");
+  }
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    if (nodes[i] >= n_) {
-      throw std::invalid_argument("FullTableScheme::patch: node out of range");
-    }
     check_table(g, nodes[i], tables[i]);
   }
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     width_[nodes[i]] = entry_width_at(g, nodes[i]);
     table_bits_[nodes[i]] = std::move(tables[i]);
   }
-  ports_ = std::move(ports);
+  for (NodeId u : resorted) ports_.resort(g, u);
 }
 
 FullTableScheme FullTableScheme::standard(const graph::Graph& g) {

@@ -29,6 +29,13 @@ using graph::NodeId;
     const graph::PortAssignment& ports, const graph::Labeling& labeling,
     NodeId u);
 
+/// The same table under the sorted port assignment, where a neighbour's
+/// port is its rank: what the churn repair path builds, with no
+/// PortAssignment to keep current.
+[[nodiscard]] bitio::BitVector full_table_node_bits(
+    const graph::Graph& g, const graph::DistanceMatrix& dist,
+    const graph::Labeling& labeling, NodeId u);
+
 class FullTableScheme final : public model::RoutingScheme {
  public:
   /// Builds tables routing via the least shortest-path successor, against
@@ -46,13 +53,15 @@ class FullTableScheme final : public model::RoutingScheme {
                   graph::Labeling labeling, model::Model declared_model,
                   std::vector<bitio::BitVector> tables);
 
-  /// Churn repair in place: adopts `ports`, the assignment on `g` after a
-  /// link change, and replaces the table of each nodes[i] by tables[i].
+  /// Churn repair in place after the link change that made `g`: each node
+  /// in `resorted` (the change's endpoints) takes its sorted port order on
+  /// g, and the table of each nodes[i] is replaced by tables[i]. Only the
+  /// churn repairable calls this, and its assignment is the sorted one.
   /// Widths and entries are re-checked for those rows only, as the
   /// deserializing constructor checks every row; every other node must
   /// keep its degree and table. Throws std::invalid_argument, leaving the
   /// scheme unchanged, on a bad row.
-  void patch(const graph::Graph& g, graph::PortAssignment ports,
+  void patch(const graph::Graph& g, std::span<const NodeId> resorted,
              std::span<const NodeId> nodes,
              std::vector<bitio::BitVector> tables);
 

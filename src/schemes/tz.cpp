@@ -15,39 +15,85 @@
 
 namespace optrt::schemes {
 
-namespace {
-
-/// d(v, A) for every v, against a sorted landmark set.
-std::vector<std::uint32_t> dist_to_set(const graph::DistanceMatrix& dist,
-                                       std::size_t n,
-                                       const std::vector<NodeId>& set) {
-  std::vector<std::uint32_t> dva(n, graph::kUnreachable);
-  for (NodeId v = 0; v < n; ++v) {
-    for (NodeId l : set) dva[v] = std::min(dva[v], dist.at(v, l));
-  }
-  return dva;
-}
-
-/// Port at u of its least shortest-path successor toward v; 0 when v == u
-/// or v is unreachable.
-graph::PortId first_hop_port(const graph::Graph& g,
-                             const graph::DistanceMatrix& dist,
-                             const graph::PortAssignment& ports, NodeId u,
-                             NodeId v) {
-  const std::uint32_t rank = graph::first_hop_rank(g, dist, u, v);
-  return rank == graph::kNoHop ? 0 : ports.port_of_rank(u, rank);
-}
-
-}  // namespace
-
 std::size_t TzScheme::cluster_cap(std::size_t n) {
   if (n < 2) return 1;
   const double nd = static_cast<double>(n);
   return static_cast<std::size_t>(std::ceil(4.0 * std::sqrt(nd * std::log(nd))));
 }
 
+std::vector<std::uint32_t> tz_landmark_distances(
+    const graph::Graph& g, std::span<const NodeId> landmarks) {
+  std::vector<std::uint32_t> dva(g.node_count(), graph::kUnreachable);
+  std::vector<NodeId> queue(landmarks.begin(), landmarks.end());
+  for (NodeId l : landmarks) dva[l] = 0;
+  for (std::size_t i = 0; i < queue.size(); ++i) {
+    const NodeId x = queue[i];
+    for (NodeId y : g.neighbors(x)) {
+      if (dva[y] == graph::kUnreachable) {
+        dva[y] = dva[x] + 1;
+        queue.push_back(y);
+      }
+    }
+  }
+  return dva;
+}
+
+TzClusterSearch::TzClusterSearch(std::size_t n)
+    : seen_(n, 0), level_(n, 0), hop_(n, graph::kNoHop) {}
+
+void TzClusterSearch::search(const graph::Graph& g,
+                             std::span<const std::uint32_t> dva, NodeId w,
+                             bool hops) {
+  if (++stamp_ == 0) {  // wrapped: no mark may survive from an old search
+    std::fill(seen_.begin(), seen_.end(), 0);
+    stamp_ = 1;
+  }
+  members_.clear();
+  seen_[w] = stamp_;
+  const auto nbrs = g.neighbors(w);
+  for (std::uint32_t rank = 0; rank < nbrs.size(); ++rank) {
+    const NodeId y = nbrs[rank];
+    seen_[y] = stamp_;
+    level_[y] = 1;
+    hop_[y] = 1 < dva[y] ? rank : graph::kNoHop;
+    if (hop_[y] != graph::kNoHop) members_.push_back(y);
+  }
+  // members_ doubles as the FIFO: members are the only nodes expanded.
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    const NodeId x = members_[i];
+    const std::uint32_t next = level_[x] + 1;
+    for (NodeId y : g.neighbors(x)) {
+      if (seen_[y] != stamp_) {
+        seen_[y] = stamp_;
+        level_[y] = next;
+        if (next < dva[y]) {
+          hop_[y] = hop_[x];
+          members_.push_back(y);
+        } else {
+          hop_[y] = graph::kNoHop;  // reached, not a member
+        }
+      } else if (hops && level_[y] == next && hop_[y] != graph::kNoHop) {
+        hop_[y] = std::min(hop_[y], hop_[x]);  // another BFS parent
+      }
+    }
+  }
+}
+
+std::size_t TzClusterSearch::count(const graph::Graph& g,
+                                   std::span<const std::uint32_t> dva,
+                                   NodeId w) {
+  search(g, dva, w, false);
+  return members_.size();
+}
+
+std::span<const NodeId> TzClusterSearch::list(
+    const graph::Graph& g, std::span<const std::uint32_t> dva, NodeId w) {
+  search(g, dva, w, true);
+  std::sort(members_.begin(), members_.end());
+  return members_;
+}
+
 std::vector<NodeId> tz_sample_landmarks(const graph::Graph& g,
-                                        const graph::DistanceMatrix& dist,
                                         const TzOptions& options) {
   // Sample A with per-node probability √(ln n / n), tilted by normalized
   // degree (p_v ∝ deg(v), E|A| unchanged): the stretch-3 argument only
@@ -76,6 +122,7 @@ std::vector<NodeId> tz_sample_landmarks(const graph::Graph& g,
   const std::size_t cap = TzScheme::cluster_cap(n);
   graph::Rng rng(options.seed);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
+  TzClusterSearch clusters(n);
   std::vector<NodeId> best;
   std::size_t best_max = std::numeric_limits<std::size_t>::max();
   std::uint64_t resamples = 0;
@@ -89,14 +136,10 @@ std::vector<NodeId> tz_sample_landmarks(const graph::Graph& g,
       ++resamples;
       continue;
     }
-    const auto dva = dist_to_set(dist, n, sample);
+    const auto dva = tz_landmark_distances(g, sample);
     std::size_t max_cluster = 0;
     for (NodeId w = 0; w < n; ++w) {
-      std::size_t size = 0;
-      for (NodeId v = 0; v < n; ++v) {
-        if (v != w && dist.at(w, v) < dva[v]) ++size;
-      }
-      max_cluster = std::max(max_cluster, size);
+      max_cluster = std::max(max_cluster, clusters.count(g, dva, w));
     }
     if (max_cluster < best_max) {
       best = std::move(sample);
@@ -112,10 +155,9 @@ std::vector<NodeId> tz_sample_landmarks(const graph::Graph& g,
 
 bitio::BitVector tz_build_node_bits(const graph::Graph& g,
                                     const graph::DistanceMatrix& dist,
-                                    const graph::PortAssignment& ports,
                                     const std::vector<NodeId>& landmarks,
-                                    const std::vector<std::uint32_t>& dva,
-                                    NodeId w) {
+                                    std::span<const std::uint32_t> dva,
+                                    NodeId w, TzClusterSearch& clusters) {
   const std::size_t n = g.node_count();
   const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n, 2));
   const unsigned port_width =
@@ -124,17 +166,15 @@ bitio::BitVector tz_build_node_bits(const graph::Graph& g,
   // (a) next hop toward every landmark (own entry unused at a landmark
   // itself; store 0).
   for (NodeId l : landmarks) {
-    out.write_bits(first_hop_port(g, dist, ports, w, l), port_width);
+    const std::uint32_t rank = graph::first_hop_rank(g, dist, w, l);
+    out.write_bits(rank == graph::kNoHop ? 0 : rank, port_width);
   }
   // (b) cluster table: v with d(w, v) < d(v, A), strictly.
-  std::vector<NodeId> cluster;
-  for (NodeId v = 0; v < n; ++v) {
-    if (v != w && dist.at(w, v) < dva[v]) cluster.push_back(v);
-  }
+  const auto cluster = clusters.list(g, dva, w);
   out.write_bits(cluster.size(), bitio::ceil_log2_plus1(n));
   for (NodeId v : cluster) {
     out.write_bits(v, id_width);
-    out.write_bits(first_hop_port(g, dist, ports, w, v), port_width);
+    out.write_bits(clusters.hop(v), port_width);
   }
   return out.take();
 }
@@ -166,6 +206,93 @@ struct TzScheme::Tables {
   }
 };
 
+namespace {
+
+/// v's nearest landmark, the least id on ties: the l(v) of v's label.
+NodeId nearest_landmark(const graph::DistanceMatrix& dist,
+                        const std::vector<NodeId>& landmarks, NodeId v) {
+  NodeId nearest = landmarks[0];
+  std::uint32_t best = graph::kUnreachable;
+  for (NodeId l : landmarks) {
+    if (dist.at(v, l) < best) {
+      best = dist.at(v, l);
+      nearest = l;
+    }
+  }
+  return nearest;
+}
+
+/// The label exit port: at l, the port toward v (least shortest-path
+/// successor) — the third component of the charged (v, l(v), port) label.
+/// Ports are the sorted assignment, so a successor's port is its rank.
+graph::PortId exit_port_at(const graph::Graph& g,
+                           const graph::DistanceMatrix& dist, NodeId l,
+                           NodeId v) {
+  if (l == v) return 0;
+  const std::uint32_t rank = graph::first_hop_rank(g, dist, l, v);
+  return rank == graph::kNoHop ? 0 : rank;
+}
+
+/// One node's compiled slices, decoded from its table.
+struct NodeSlices {
+  model::PackedSparseArray cluster;
+  model::PackedValueArray landmark_ports;
+};
+
+/// The per-node table decoder behind decode() and patch(): validates w's
+/// table against g (port bounds, sorted in-range cluster ids, no trailing
+/// bits) and decodes it. `landmark_port` (one entry per landmark) and
+/// `cluster_port` are scratch.
+NodeSlices decode_node(const graph::Graph& g, NodeId w,
+                       const bitio::BitVector& bits,
+                       std::vector<std::uint32_t>& landmark_port,
+                       std::vector<std::uint32_t>& cluster_port) {
+  const std::size_t n = g.node_count();
+  const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n, 2));
+  const unsigned port_width =
+      bitio::ceil_log2(std::max<std::size_t>(g.degree(w), 1));
+  const std::size_t degree = std::max<std::size_t>(g.degree(w), 1);
+  bitio::BitReader r(bits);
+  for (auto& pt : landmark_port) {
+    pt = static_cast<std::uint32_t>(r.read_bits(port_width));
+    if (pt >= degree) {
+      throw std::invalid_argument(
+          "TzScheme: stored port exceeds the node degree");
+    }
+  }
+  const auto size =
+      static_cast<std::size_t>(r.read_bits(bitio::ceil_log2_plus1(n)));
+  if (size > n) {
+    throw std::invalid_argument("TzScheme: cluster larger than n");
+  }
+  bitio::BitVector members(n);
+  cluster_port.resize(size);
+  NodeId prev = 0;
+  for (std::size_t i = 0; i < size; ++i) {
+    const auto id = static_cast<NodeId>(r.read_bits(id_width));
+    cluster_port[i] = static_cast<std::uint32_t>(r.read_bits(port_width));
+    // The membership vector needs distinct in-range ids, and next_hop
+    // indexes ports unchecked.
+    if (id >= n || (i > 0 && id <= prev)) {
+      throw std::invalid_argument("TzScheme: bad cluster table");
+    }
+    if (cluster_port[i] >= degree) {
+      throw std::invalid_argument(
+          "TzScheme: stored port exceeds the node degree");
+    }
+    members.set(id, true);
+    prev = id;
+  }
+  if (!r.exhausted()) {
+    throw std::invalid_argument("TzScheme: trailing bits in a node table");
+  }
+  return {model::PackedSparseArray(std::move(members), cluster_port,
+                                   port_width),
+          model::PackedValueArray(landmark_port, port_width)};
+}
+
+}  // namespace
+
 TzScheme::TzScheme(const graph::Graph& g, Options options)
     : n_(g.node_count()) {
   if (!graph::is_connected(g)) {
@@ -174,12 +301,13 @@ TzScheme::TzScheme(const graph::Graph& g, Options options)
   const auto dist_cached = graph::DistanceCache::global().get(g);
   const graph::DistanceMatrix& dist = *dist_cached;
 
-  landmarks_ = tz_sample_landmarks(g, dist, options);
-  const auto dva = dist_to_set(dist, n_, landmarks_);
-  const auto ports = graph::PortAssignment::sorted(g);
+  landmarks_ = tz_sample_landmarks(g, options);
+  const auto dva = tz_landmark_distances(g, landmarks_);
+  TzClusterSearch clusters(n_);
   function_bits_.resize(n_);
   for (NodeId w = 0; w < n_; ++w) {
-    function_bits_[w] = tz_build_node_bits(g, dist, ports, landmarks_, dva, w);
+    function_bits_[w] =
+        tz_build_node_bits(g, dist, landmarks_, dva, w, clusters);
   }
   decode(g, dist);
 }
@@ -216,80 +344,77 @@ void TzScheme::decode(const graph::Graph& g,
     }
     tables->landmark_index[landmarks_[i]] = i;
   }
-  tables->landmark_of.assign(n_, landmarks_[0]);
-  for (NodeId v = 0; v < n_; ++v) {
-    std::uint32_t best = graph::kUnreachable;
-    for (NodeId l : landmarks_) {
-      if (dist.at(v, l) < best) {
-        best = dist.at(v, l);
-        tables->landmark_of[v] = l;
-      }
-    }
-  }
   tables->csr = graph::CsrGraph(g);
   tables->cluster.reserve(n_);
   tables->landmark_ports.reserve(n_);
   bunch_size_.assign(n_, landmarks_.size());
   auto cluster_sizes = obs::histogram("schemes.tz.cluster_size",
                                       obs::hop_buckets());
-  const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n_, 2));
   std::vector<std::uint32_t> landmark_port(landmarks_.size());
   std::vector<std::uint32_t> cluster_port;
   for (NodeId w = 0; w < n_; ++w) {
-    const unsigned port_width =
-        bitio::ceil_log2(std::max<std::size_t>(g.degree(w), 1));
-    const std::size_t degree = std::max<std::size_t>(g.degree(w), 1);
-    bitio::BitReader r(function_bits_[w]);
-    for (auto& pt : landmark_port) {
-      pt = static_cast<std::uint32_t>(r.read_bits(port_width));
-      if (pt >= degree) {
-        throw std::invalid_argument(
-            "TzScheme: stored port exceeds the node degree");
-      }
-    }
-    const auto size =
-        static_cast<std::size_t>(r.read_bits(bitio::ceil_log2_plus1(n_)));
-    if (size > n_) {
-      throw std::invalid_argument("TzScheme: cluster larger than n");
-    }
-    bitio::BitVector members(n_);
-    cluster_port.resize(size);
-    NodeId prev = 0;
-    for (std::size_t i = 0; i < size; ++i) {
-      const auto id = static_cast<NodeId>(r.read_bits(id_width));
-      cluster_port[i] = static_cast<std::uint32_t>(r.read_bits(port_width));
-      // The membership vector needs distinct in-range ids, and next_hop
-      // indexes ports unchecked.
-      if (id >= n_ || (i > 0 && id <= prev)) {
-        throw std::invalid_argument("TzScheme: bad cluster table");
-      }
-      if (cluster_port[i] >= degree) {
-        throw std::invalid_argument(
-            "TzScheme: stored port exceeds the node degree");
-      }
-      members.set(id, true);
-      ++bunch_size_[id];
-      prev = id;
-    }
-    if (!r.exhausted()) {
-      throw std::invalid_argument("TzScheme: trailing bits in a node table");
+    NodeSlices slices = decode_node(g, w, function_bits_[w], landmark_port,
+                                    cluster_port);
+    const std::size_t size = slices.cluster.member_count();
+    for (std::size_t k = 0; k < size; ++k) {
+      ++bunch_size_[slices.cluster.member(k)];
     }
     cluster_sizes.observe(size);
-    tables->cluster.emplace_back(std::move(members), cluster_port, port_width);
-    tables->landmark_ports.emplace_back(landmark_port, port_width);
+    tables->cluster.push_back(std::move(slices.cluster));
+    tables->landmark_ports.push_back(std::move(slices.landmark_ports));
   }
-  // Label exit ports: at l(v), the port toward v (least shortest-path
-  // successor) — the third component of the charged (v, l(v), port) label.
-  // Ports are the sorted assignment, so a successor's port is its rank.
-  tables->exit_port.assign(n_, 0);
+  tables->landmark_of.resize(n_);
+  tables->exit_port.resize(n_);
   for (NodeId v = 0; v < n_; ++v) {
-    const NodeId l = tables->landmark_of[v];
-    if (l == v) continue;
-    const std::uint32_t rank = graph::first_hop_rank(g, dist, l, v);
-    if (rank != graph::kNoHop) tables->exit_port[v] = rank;
+    tables->landmark_of[v] = nearest_landmark(dist, landmarks_, v);
+    tables->exit_port[v] = exit_port_at(g, dist, tables->landmark_of[v], v);
   }
   tables_ = std::move(tables);
   obs::counter("schemes.tz.built").inc();
+}
+
+void TzScheme::patch(const graph::Graph& g, const graph::DistanceMatrix& dist,
+                     std::span<const NodeId> nodes,
+                     std::vector<bitio::BitVector> bits,
+                     std::span<const NodeId> relabel) {
+  if (g.node_count() != n_ || dist.node_count() != n_ ||
+      bits.size() != nodes.size()) {
+    throw std::invalid_argument("TzScheme::patch: size mismatch");
+  }
+  auto in_range = [&](NodeId v) { return v < n_; };
+  if (!std::all_of(nodes.begin(), nodes.end(), in_range) ||
+      !std::all_of(relabel.begin(), relabel.end(), in_range)) {
+    throw std::invalid_argument("TzScheme::patch: node out of range");
+  }
+  std::vector<NodeSlices> slices;
+  slices.reserve(nodes.size());
+  std::vector<std::uint32_t> landmark_port(landmarks_.size());
+  std::vector<std::uint32_t> cluster_port;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    slices.push_back(
+        decode_node(g, nodes[i], bits[i], landmark_port, cluster_port));
+  }
+  // Copy-on-write: a FastPath compiled earlier keeps its own tables.
+  if (tables_.use_count() > 1) tables_ = std::make_shared<Tables>(*tables_);
+  Tables& tables = *tables_;
+  tables.csr = graph::CsrGraph(g);  // the endpoints' slices moved
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const NodeId w = nodes[i];
+    model::PackedSparseArray& cluster = tables.cluster[w];
+    for (std::size_t k = 0; k < cluster.member_count(); ++k) {
+      --bunch_size_[cluster.member(k)];
+    }
+    cluster = std::move(slices[i].cluster);
+    for (std::size_t k = 0; k < cluster.member_count(); ++k) {
+      ++bunch_size_[cluster.member(k)];
+    }
+    tables.landmark_ports[w] = std::move(slices[i].landmark_ports);
+    function_bits_[w] = std::move(bits[i]);
+  }
+  for (NodeId v : relabel) {
+    tables.landmark_of[v] = nearest_landmark(dist, landmarks_, v);
+    tables.exit_port[v] = exit_port_at(g, dist, tables.landmark_of[v], v);
+  }
 }
 
 NodeId TzScheme::next_hop(NodeId u, NodeId dest_label,
@@ -299,6 +424,10 @@ NodeId TzScheme::next_hop(NodeId u, NodeId dest_label,
 
 NodeId TzScheme::landmark_of(NodeId v) const {
   return tables_->landmark_of[v];
+}
+
+graph::PortId TzScheme::exit_port(NodeId v) const {
+  return tables_->exit_port[v];
 }
 
 std::size_t TzScheme::cluster_size(NodeId w) const {

@@ -297,74 +297,95 @@ TEST(AllPairsDistances, DynamicDistancesMatchesDistanceMatrix) {
   EXPECT_TRUE(same_matrix(dyn, DistanceMatrix(g)));
 }
 
+/// Every entry on which two n×n matrices differ, with its value in `a`,
+/// sorted by (s, t): what DynamicDistances::Delta::entries must report.
+std::vector<schemes::DynamicDistances::Entry> differing_entries(
+    const DistanceMatrix& a, const DistanceMatrix& b) {
+  std::vector<schemes::DynamicDistances::Entry> entries;
+  for (NodeId s = 0; s < a.node_count(); ++s) {
+    for (NodeId t = 0; t < a.node_count(); ++t) {
+      if (a.at(s, t) != b.at(s, t)) entries.push_back({s, t, a.at(s, t)});
+    }
+  }
+  return entries;
+}
+
 TEST(AllPairsDistances, DynamicDistancesAllRowsFallbackMatches) {
-  // A fallback fraction of 0 sends every deletion through the all-rows
-  // recompute; changed_rows must still name exactly the rows that differ.
-  const Graph before = TopologyFamily::grid().make(120, 0);
+  // A deletion that changes every row: cutting one spoke of a star strands
+  // its leaf, so column 7 of every row (and all of row 7) goes
+  // unreachable. Each row's region repair must still give exactly the
+  // fresh matrix and report exactly the changed entries.
+  const std::size_t n = 40;
+  Graph before(n);
+  for (NodeId leaf = 1; leaf < n; ++leaf) before.add_edge(0, leaf);
   schemes::DynamicDistances dyn(before);
   Graph after = before;
-  after.remove_edge(0, 1);
-  const auto delta = dyn.apply(after, 0, 1, /*up=*/false, 0.0);
-  EXPECT_EQ(delta.rows_bfs, 120u);
+  after.remove_edge(0, 7);
+  const auto delta = dyn.apply(after, 0, 7, /*up=*/false);
+  const DistanceMatrix old_matrix(before);
   const DistanceMatrix fresh(after);
-  EXPECT_EQ(delta.changed_rows, differing_rows(DistanceMatrix(before), fresh));
-  EXPECT_FALSE(delta.changed_rows.empty());
+  EXPECT_EQ(delta.rows_bfs, n);
+  EXPECT_EQ(delta.changed_rows.size(), n);
+  EXPECT_EQ(delta.changed_rows, differing_rows(old_matrix, fresh));
+  EXPECT_EQ(delta.entries, differing_entries(old_matrix, fresh));
+  EXPECT_EQ(delta.entries.size(), 2 * (n - 1));
   EXPECT_TRUE(same_matrix(dyn, fresh));
+  EXPECT_FALSE(dyn.connected());
 }
 
 TEST(AllPairsDistances, DynamicDistancesMatchAFreshMatrixAfterEveryDelta) {
   // Seeded random deletions and insertions, disconnecting and reconnecting
-  // the graph along the way, through the per-row path (fraction 1), the
-  // all-rows fallback (fraction 0) and a mix (0.5). After every apply the
-  // matrix must equal a fresh one element by element, and changed_rows
-  // must be exactly the rows that differ from the previous fresh matrix.
+  // the graph along the way. After every apply the matrix must equal a
+  // fresh one element by element, changed_rows must be exactly the rows
+  // that differ from the previous fresh matrix, and entries exactly the
+  // differing entries with their previous values.
   for (const char* family : {"grid", "ring", "ba:1", "ba:2", "uniform"}) {
     for (const std::size_t n : {2u, 64u, 130u}) {
-      for (const double fraction : {0.0, 0.5, 1.0}) {
-        SCOPED_TRACE(std::string(family) + " n=" + std::to_string(n) +
-                     " fraction=" + std::to_string(fraction));
-        // ring needs n ≥ 3; on two nodes every family is the one edge.
-        Graph g = n == 2 ? chain(2) : TopologyFamily::parse(family).make(n, 7);
-        schemes::DynamicDistances dyn(g);
-        DistanceMatrix before(g);
-        Rng rng(n * 1000 + static_cast<std::uint64_t>(fraction * 10));
-        std::uniform_int_distribution<NodeId> node(
-            0, static_cast<NodeId>(n - 1));
-        std::size_t deletions = 0;
-        std::size_t insertions = 0;
-        for (int step = 0; step < 60; ++step) {
-          NodeId u = 0;
-          NodeId v = 0;
-          if (rng() % 2 == 0 && g.edge_count() > 0) {
-            do {
-              u = node(rng);
-            } while (g.degree(u) == 0);
-            v = g.neighbors(u)[rng() % g.degree(u)];
-          } else {
-            do {
-              u = node(rng);
-              v = node(rng);
-            } while (u == v);
-          }
-          const bool up = !g.has_edge(u, v);
-          if (up) {
-            g.add_edge(u, v);
-            ++insertions;
-          } else {
-            g.remove_edge(u, v);
-            ++deletions;
-          }
-          const auto delta = dyn.apply(g, u, v, up, fraction);
-          DistanceMatrix after(g);
-          ASSERT_TRUE(same_matrix(dyn, after)) << "step " << step;
-          ASSERT_EQ(delta.changed_rows, differing_rows(before, after))
-              << "step " << step << (up ? " insert " : " delete ") << u
-              << "-" << v;
-          before = std::move(after);
+      SCOPED_TRACE(std::string(family) + " n=" + std::to_string(n));
+      // ring needs n ≥ 3; on two nodes every family is the one edge.
+      Graph g = n == 2 ? chain(2) : TopologyFamily::parse(family).make(n, 7);
+      schemes::DynamicDistances dyn(g);
+      DistanceMatrix before(g);
+      Rng rng(n * 1000);
+      std::uniform_int_distribution<NodeId> node(0,
+                                                 static_cast<NodeId>(n - 1));
+      std::size_t deletions = 0;
+      std::size_t insertions = 0;
+      for (int step = 0; step < 120; ++step) {
+        NodeId u = 0;
+        NodeId v = 0;
+        if (rng() % 2 == 0 && g.edge_count() > 0) {
+          do {
+            u = node(rng);
+          } while (g.degree(u) == 0);
+          v = g.neighbors(u)[rng() % g.degree(u)];
+        } else {
+          do {
+            u = node(rng);
+            v = node(rng);
+          } while (u == v);
         }
-        EXPECT_GT(deletions, 10u);
-        EXPECT_GT(insertions, 10u);
+        const bool up = !g.has_edge(u, v);
+        if (up) {
+          g.add_edge(u, v);
+          ++insertions;
+        } else {
+          g.remove_edge(u, v);
+          ++deletions;
+        }
+        const auto delta = dyn.apply(g, u, v, up);
+        DistanceMatrix after(g);
+        ASSERT_TRUE(same_matrix(dyn, after)) << "step " << step;
+        ASSERT_EQ(delta.changed_rows, differing_rows(before, after))
+            << "step " << step << (up ? " insert " : " delete ") << u << "-"
+            << v;
+        ASSERT_EQ(delta.entries, differing_entries(before, after))
+            << "step " << step << (up ? " insert " : " delete ") << u << "-"
+            << v;
+        before = std::move(after);
       }
+      EXPECT_GT(deletions, 20u);
+      EXPECT_GT(insertions, 20u);
     }
   }
 }

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -247,6 +249,126 @@ TEST(ChurnOracle, GridDeletionPatchesOnlyTheDirtyTables) {
   EXPECT_EQ(rs->stats().rebuilt, 0u);
   const schemes::RepairMatch m = schemes::repaired_matches_fresh(*rs);
   EXPECT_TRUE(m.match) << m.detail;
+}
+
+/// Every part of a TzScheme a fresh build fixes — landmarks, table bits,
+/// and per destination l(v), the exit port and the bunch size — must equal
+/// the fresh build on the repairable's topology; where no fresh build
+/// exists the repairable must be stale.
+void expect_tz_equals_fresh(const model::RepairableScheme& rs,
+                            std::uint64_t seed, const std::string& where) {
+  const Graph& g = rs.topology();
+  if (!graph::is_connected(g)) {
+    EXPECT_FALSE(rs.available()) << where;
+    return;
+  }
+  ASSERT_TRUE(rs.available()) << where;
+  const auto& repaired = dynamic_cast<const schemes::TzScheme&>(rs.scheme());
+  const schemes::TzScheme fresh(g, {.seed = seed});
+  ASSERT_EQ(repaired.landmarks(), fresh.landmarks()) << where;
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    ASSERT_TRUE(repaired.function_bits(v) == fresh.function_bits(v))
+        << where << ": table of " << v;
+    ASSERT_EQ(repaired.landmark_of(v), fresh.landmark_of(v))
+        << where << ": l(" << v << ")";
+    ASSERT_EQ(repaired.exit_port(v), fresh.exit_port(v))
+        << where << ": exit port of " << v;
+    ASSERT_EQ(repaired.bunch_size(v), fresh.bunch_size(v))
+        << where << ": bunch of " << v;
+  }
+}
+
+/// Every next hop a FastPath answers, over the full pair space.
+std::vector<NodeId> all_hops(const model::FastPath& fast) {
+  std::vector<NodeId> hops;
+  for (NodeId u = 0; u < fast.node_count(); ++u) {
+    for (NodeId v = 0; v < fast.node_count(); ++v) {
+      if (u != v) hops.push_back(fast.next_hop(u, v));
+    }
+  }
+  return hops;
+}
+
+TEST(ChurnOracle, TzPatchEqualsAFreshSchemeAfterEveryEvent) {
+  // Seeded link deletions and insertions of arbitrary non-edges, checked
+  // after every single event rather than at quiesce points. A deletion
+  // that disconnects the graph is undone by the next event, so the
+  // stale-and-recover path runs too. Every fourth event
+  // also compiles a FastPath first: the patch must leave the tables that
+  // FastPath shares as they were.
+  // The small grids, under several elections, are where a member most
+  // often leaves a cluster with no other changed entry touching the table.
+  struct Case {
+    const char* family;
+    std::size_t n;
+    std::uint64_t seed;
+    std::size_t min_patched;
+  };
+  std::vector<Case> cases = {
+      {"ba:2", 256, 5, 24}, {"grid", 256, 5, 24}, {"uniform", 96, 5, 24}};
+  for (std::uint64_t seed = 11; seed <= 16; ++seed) {
+    cases.push_back({"grid", 36, seed, 12});
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.family) + " n=" + std::to_string(c.n) +
+                 " seed=" + std::to_string(c.seed));
+    const std::uint64_t seed = c.seed;
+    Graph g = connected_member(TopologyFamily::parse(c.family), c.n, seed);
+    auto rs = schemes::make_repairable("tz", g, seed);
+    graph::Rng rng(c.n + seed);
+    std::uniform_int_distribution<NodeId> node(
+        0, static_cast<NodeId>(c.n - 1));
+    std::size_t deletions = 0;
+    std::size_t insertions = 0;
+    std::size_t patched = 0;
+    std::size_t disconnections = 0;
+    std::optional<model::TopologyEvent> reconnect;
+    for (int step = 0; step < 72; ++step) {
+      model::TopologyEvent e;
+      if (reconnect) {
+        e = *reconnect;  // undo the one disconnecting deletion
+        reconnect.reset();
+      } else if (rng() % 2 == 0) {
+        NodeId u;
+        do {
+          u = node(rng);
+        } while (g.degree(u) == 0);
+        e = {u, g.neighbors(u)[rng() % g.degree(u)], false};
+      } else {
+        do {
+          e = {node(rng), node(rng), true};
+        } while (e.u == e.v || g.has_edge(e.u, e.v));
+      }
+      if (e.up) {
+        g.add_edge(e.u, e.v);
+        ++insertions;
+      } else {
+        g.remove_edge(e.u, e.v);
+        ++deletions;
+        if (!graph::is_connected(g)) {
+          ++disconnections;
+          reconnect = model::TopologyEvent{e.u, e.v, true};
+        }
+      }
+      std::unique_ptr<model::FastPath> fast;
+      std::vector<NodeId> hops_before;
+      if (step % 4 == 0 && rs->available()) {
+        fast = rs->scheme().compile_fast();
+        hops_before = all_hops(*fast);
+      }
+      const std::string where = "step " + std::to_string(step) +
+                                (e.up ? " insert " : " delete ") +
+                                std::to_string(e.u) + "-" +
+                                std::to_string(e.v);
+      if (rs->apply_event(e) == model::RepairOutcome::kPatched) ++patched;
+      if (fast) EXPECT_EQ(all_hops(*fast), hops_before) << where;
+      expect_tz_equals_fresh(*rs, seed, where);
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_GT(deletions, 24u);
+    EXPECT_GT(insertions, 24u);
+    EXPECT_GE(patched, c.min_patched) << "disconnections " << disconnections;
+  }
 }
 
 // --- Staleness ------------------------------------------------------------

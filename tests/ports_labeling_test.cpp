@@ -42,6 +42,39 @@ TEST(Ports, RandomAssignmentIsAPermutation) {
   }
 }
 
+TEST(Ports, ResortingTheEndpointsOfAToggleEqualsSorted) {
+  // A link toggle changes only its endpoints' neighbour lists, so
+  // re-sorting those two nodes must give the assignment sorted() builds
+  // from scratch on the new graph, for insertions and deletions alike.
+  Rng rng(4);
+  Graph g = random_gnp(40, 0.2, rng);
+  PortAssignment pa = PortAssignment::sorted(g);
+  std::uniform_int_distribution<NodeId> node(0, 39);
+  for (int step = 0; step < 50; ++step) {
+    NodeId u = node(rng);
+    NodeId v = node(rng);
+    if (u == v) continue;
+    if (g.has_edge(u, v)) {
+      g.remove_edge(u, v);
+    } else {
+      g.add_edge(u, v);
+    }
+    pa.resort(g, u);
+    pa.resort(g, v);
+    ASSERT_TRUE(pa == PortAssignment::sorted(g)) << "step " << step;
+  }
+  // A node whose list changed but was not re-sorted no longer matches.
+  const NodeId a = 0;
+  NodeId b = 1;
+  while (g.has_edge(a, b)) ++b;
+  ASSERT_LT(b, 40u);
+  g.add_edge(a, b);
+  pa.resort(g, a);
+  EXPECT_FALSE(pa == PortAssignment::sorted(g));
+  pa.resort(g, b);
+  EXPECT_TRUE(pa == PortAssignment::sorted(g));
+}
+
 TEST(Ports, PortOfNonNeighborThrows) {
   const Graph g = chain(4);
   const PortAssignment pa = PortAssignment::sorted(g);

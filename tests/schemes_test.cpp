@@ -150,6 +150,7 @@ TEST(FullTable, PatchRewritesTheGivenRowsAndRejectsBadOnes) {
   const Graph g = graph::grid(4, 5);
   Graph h = g;
   h.remove_edge(6, 7);
+  const std::vector<graph::NodeId> ends = {6, 7};
   FullTableScheme scheme = FullTableScheme::standard(g);
   const FullTableScheme fresh = FullTableScheme::standard(h);
   std::vector<graph::NodeId> rows;
@@ -164,19 +165,20 @@ TEST(FullTable, PatchRewritesTheGivenRowsAndRejectsBadOnes) {
   const graph::NodeId bad_node = rows.front();
   const bitio::BitVector before = scheme.function_bits(bad_node);
   const bitio::BitVector short_row(tables.front().size() - 1);
-  EXPECT_THROW(scheme.patch(h, graph::PortAssignment::sorted(h),
-                            std::vector<graph::NodeId>{bad_node}, {short_row}),
+  EXPECT_THROW(scheme.patch(h, ends, std::vector<graph::NodeId>{bad_node},
+                            {short_row}),
                std::invalid_argument);
   // Node 5 keeps degree 3 (2-bit entries): port 3 is out of range.
   bitio::BitVector port3 = fresh.function_bits(5);
   port3.set(0, true);
   port3.set(1, true);
-  EXPECT_THROW(scheme.patch(h, graph::PortAssignment::sorted(h),
-                            std::vector<graph::NodeId>{5}, {port3}),
+  EXPECT_THROW(scheme.patch(h, ends, std::vector<graph::NodeId>{5}, {port3}),
                std::invalid_argument);
   EXPECT_TRUE(scheme.function_bits(bad_node) == before);
+  EXPECT_FALSE(scheme.ports() == graph::PortAssignment::sorted(h));
 
-  scheme.patch(h, graph::PortAssignment::sorted(h), rows, std::move(tables));
+  scheme.patch(h, ends, rows, std::move(tables));
+  EXPECT_TRUE(scheme.ports() == graph::PortAssignment::sorted(h));
   for (graph::NodeId u = 0; u < 20; ++u) {
     EXPECT_TRUE(scheme.function_bits(u) == fresh.function_bits(u)) << u;
   }
